@@ -147,7 +147,7 @@ class AvailabilityMonitor:
             # Probe remote balancers in parallel; each updates its entry when
             # its own round trip completes.
             for balancer in list(self._remote_balancers.values()):
-                env.process(self._probe_balancer(balancer))
+                self._start_balancer_probe(balancer)
             # Probe local replicas: one intra-region round trip covers them
             # all (they are probed concurrently in the real system).
             if self._local_replicas:
@@ -160,8 +160,22 @@ class AvailabilityMonitor:
             elapsed = env.now - cycle_start
             yield env.timeout(max(0.0, self.probe_interval_s - elapsed))
 
-    def _probe_balancer(self, balancer: "SkyWalkerBalancer"):
-        yield self.network.probe_delay(self.region, balancer.region)
+    def _start_balancer_probe(self, balancer: "SkyWalkerBalancer") -> None:
+        """Probe one peer balancer as a callback chain (no process).
+
+        The start event sits where a spawned process's first step would, so
+        the round trip is sampled from the shared network RNG at the same
+        point in the schedule.
+        """
+        start = self.env.event()
+        start.callbacks.append(lambda _event: self._send_balancer_probe(balancer))
+        start.succeed()
+
+    def _send_balancer_probe(self, balancer: "SkyWalkerBalancer") -> None:
+        reply = self.network.probe_delay(self.region, balancer.region)
+        reply.callbacks.append(lambda _event: self._record_balancer_probe(balancer))
+
+    def _record_balancer_probe(self, balancer: "SkyWalkerBalancer") -> None:
         # A partitioned peer's probe never really comes back: record it as
         # unhealthy (with no spare replicas) so the peer stops being a
         # forward target until the link heals and a later probe lands.
@@ -250,6 +264,9 @@ class AvailabilityMonitor:
         return self._change_event
 
     def _notify_change(self) -> None:
-        event, self._change_event = self._change_event, self.env.event()
-        if not event.triggered:
+        # An event nobody waits on stays current: firing it would only
+        # schedule a no-op, and the next waiter can take it as well.
+        event = self._change_event
+        if event.callbacks and not event.triggered:
+            self._change_event = self.env.event()
             event.succeed()

@@ -308,11 +308,7 @@ class Network:
             self.dropped_messages += 1
             return
         delay = self.sample_one_way(src, dst) + extra_delay
-        self.env.process(self._deliver_later(delay, item, inbox))
-
-    def _deliver_later(self, delay: float, item: Any, inbox: Store):
-        yield self.env.timeout(delay)
-        yield inbox.put(item)
+        self._after(delay, lambda _event: inbox.put(item))
 
     def call_after_delay(self, src: str, dst: str, callback: Callable[[], None]) -> None:
         """Run ``callback`` after a one-way delay (used for notifications)."""
@@ -326,11 +322,24 @@ class Network:
             self.dropped_messages += 1
             return
         delay = self.sample_one_way(src, dst)
-        self.env.process(self._call_later(delay, callback))
+        self._after(delay, lambda _event: callback())
 
-    def _call_later(self, delay: float, callback: Callable[[], None]):
-        yield self.env.timeout(delay)
-        callback()
+    def _after(self, delay: float, callback: Callable[[Any], None]) -> None:
+        """Run ``callback`` ``delay`` seconds after a start event.
+
+        A callback chain instead of a process: the start event keeps the
+        place a process's first step held in the schedule, so the timeout
+        gets the same insertion order, without a generator or an
+        end-of-process event.
+        """
+        env = self.env
+
+        def start(_event) -> None:
+            env.timeout(delay).callbacks.append(callback)
+
+        event = env.event()
+        event.callbacks.append(start)
+        event.succeed()
 
     # ------------------------------------------------------------------
     def probe(self, src: str, dst: str, read: Callable[[], Any]):

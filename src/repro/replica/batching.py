@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from ..mem import MemoryConfig
 from ..workloads.request import Request, RequestStatus
@@ -80,7 +80,6 @@ class ContinuousBatcher:
         self.performance_scale: float = 1.0
         self.waiting: Deque[Request] = deque()
         self.running: List[RunningSequence] = []
-        self._by_id: Dict[int, RunningSequence] = {}
         # Monotonic counters for metrics.
         self.total_admitted = 0
         self.total_finished = 0
@@ -158,7 +157,6 @@ class ContinuousBatcher:
             request.cached_prefix_tokens = grant.cached_tokens
             request.prefilled_tokens = grant.new_prompt_tokens
             self.running.append(seq)
-            self._by_id[request.request_id] = seq
             admitted.append(seq)
             if request.request_id not in self._counted_requests:
                 self._counted_requests.add(request.request_id)
@@ -183,7 +181,6 @@ class ContinuousBatcher:
         while len(self.running) > 1 and self.memory.free_tokens < len(self.running):
             victim = self.running[-1]
             self.running.pop()
-            del self._by_id[victim.request.request_id]
             self.memory.release(victim.request.request_id, now)
             self.total_preemptions += 1
             self.total_preempted_tokens += victim.generated
@@ -241,19 +238,44 @@ class ContinuousBatcher:
                 finished.append(self._finish(seq, now))
         return finished
 
-    def complete_decode_step(self, now: float) -> List[Request]:
-        """Every running sequence gains one token; return those that finished."""
+    def max_decode_steps(self) -> int:
+        """How many decode steps can run before the batch's makeup may change.
+
+        That is the steps until the first running sequence finishes, bounded
+        by the steps :meth:`preempt_if_needed` would allow (each step takes
+        one KV token per sequence), and 1 while requests wait: a failed
+        admission touches the radix cache's LRU clock, so every step with a
+        non-empty queue must be planned on its own.  Call right after
+        :meth:`plan_step` returned a decode plan.
+        """
+        if self.waiting:
+            return 1
+        running = self.running
+        steps = min(seq.request.output_len - seq.generated for seq in running)
+        if len(running) > 1:
+            steps = min(steps, self.memory.free_tokens // len(running))
+        return steps
+
+    def complete_decode_step(self, now: float, steps: int = 1) -> List[Request]:
+        """Every running sequence gains ``steps`` tokens; return those that
+        finished (at ``now``).
+
+        ``steps`` must not overshoot any sequence (see
+        :meth:`max_decode_steps`); ``first_token_time`` is stamped ``now``,
+        so spans of more than one step are for sequences already prefilled.
+        """
         finished: List[Request] = []
         survivors: List[RunningSequence] = []
         running = self.running
-        # Credit the whole step's output tokens up front; each sequence's
+        # Credit the whole span's output tokens up front; each sequence's
         # grant is bumped inside the loop, so by the time a finished
         # request's release() subtracts its grant the totals agree.
-        self.memory.note_generated(len(running))
-        self.total_generated_tokens += len(running)
+        generated = len(running) * steps
+        self.memory.note_generated(generated)
+        self.total_generated_tokens += generated
         for seq in running:
-            seq.generated += 1
-            seq.grant.output_tokens += 1
+            seq.generated += steps
+            seq.grant.output_tokens += steps
             request = seq.request
             request.generated_tokens = seq.generated
             if request.first_token_time is None:
@@ -274,7 +296,6 @@ class ContinuousBatcher:
         request.finish_time = now
         if unlink:
             self.running.remove(seq)
-        del self._by_id[request.request_id]
         # Multi-turn conversations resend the whole history, so caching the
         # prompt (already in the tree) is what matters; we do not re-insert
         # output tokens because the synthetic workloads append fresh token
@@ -287,13 +308,12 @@ class ContinuousBatcher:
     def abort_all(self, now: float) -> List[Request]:
         """Fail every pending and running request (replica crash)."""
         aborted: List[Request] = []
-        for seq in list(self.running):
+        for seq in self.running:
             request = seq.request
             request.status = RequestStatus.FAILED
-            self.running.remove(seq)
-            del self._by_id[request.request_id]
             self.memory.release(request.request_id, now)
             aborted.append(request)
+        self.running = []
         while self.waiting:
             request = self.waiting.popleft()
             request.status = RequestStatus.FAILED

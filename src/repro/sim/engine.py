@@ -151,6 +151,27 @@ class Environment:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """Create an event that fires at absolute time ``when`` (seconds).
+
+        Use this instead of ``timeout(when - now)`` when ``when`` came from a
+        chain of additions: ``(when - now) + now`` need not round back to
+        ``when``.
+
+        Raises
+        ------
+        ValueError
+            If ``when`` lies before the current clock.
+        """
+        if when < self._now:
+            raise ValueError(f"when={when!r} lies in the past (now={self._now!r})")
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        self._eid += 1
+        self._timeline.push((when, NORMAL, self._eid, event))
+        return event
+
     def process(self, generator: Generator) -> Process:
         """Start a new process from ``generator`` and return it."""
         return Process(self, generator)

@@ -94,6 +94,21 @@ class Process(Event):
         interrupt_event.callbacks.append(self._resume)
         self.env.schedule(interrupt_event, priority=0)
 
+    def retarget(self, event: Event) -> None:
+        """Move this suspended process's wait from its target to ``event``.
+
+        The old target stays scheduled but no longer resumes the process;
+        ``event`` must not have been processed yet.  This lets the owner of
+        a far-off wake-up bring it forward without interrupting the process.
+        """
+        target = self._target
+        if target is None:
+            raise RuntimeError("only a process waiting on an event can be retargeted")
+        if target.callbacks is not None:
+            target.callbacks.remove(self._resume)
+        event.callbacks.append(self._resume)
+        self._target = event
+
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""

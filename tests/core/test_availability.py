@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import AvailabilityMonitor, SelectivePushingPending
 from repro.network import Network, default_topology
+from repro.perf.anatomy import count_events
 from repro.replica import TINY_TEST_PROFILE, ReplicaServer
 
 from ..conftest import make_request
@@ -176,3 +177,16 @@ def test_probe_counters_reflect_probe_traffic(env, network, make_tiny_replica):
     monitor.start()
     env.run(until=1.0)
     assert network.probe_count >= 20  # ~2 probes per 50 ms cycle
+
+
+def test_probe_loop_schedules_no_no_op_events(env, monitor, make_tiny_replica):
+    """Nobody waits on the change event and nobody joins the peer probes,
+    so a probe cycle is its local timeout, its sleep and the peer probe's
+    start and reply -- nothing else."""
+    monitor.add_local_replica(make_tiny_replica("us"))
+    monitor.add_remote_balancer(StubPeer("lb-eu", "eu"))
+    monitor.start()
+    with count_events() as counts:
+        env.run(until=1.0)
+    assert not [kind for kind in counts if kind.endswith(":no-op")]
+    assert monitor.balancer_probes["lb-eu"].probe_time > 0.9

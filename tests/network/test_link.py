@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import Network, default_topology
+from repro.perf.anatomy import count_events
 from repro.sim import Environment, Store
 
 
@@ -162,3 +163,15 @@ def test_overlapping_blocks_are_reference_counted(env, net):
     net.set_link_blocked("us", "eu", False)
     net.set_link_blocked("us", "eu")
     assert net.link_blocked("us", "eu")
+
+
+def test_deliveries_run_without_processes(env, net):
+    """A delivery is a start event, a timeout and the store put."""
+    inbox = Store(env)
+    with count_events() as counts:
+        net.deliver("hello", "us", "eu", inbox)
+        net.call_after_delay("us", "eu", lambda: None)
+        env.run()
+    assert list(inbox.items) == ["hello"]
+    assert sum(counts.values()) == 5
+    assert not [kind for kind in counts if kind.startswith(("_Initialize", "Process"))]

@@ -133,3 +133,47 @@ def test_abort_all_fails_everything(batcher):
     assert set(aborted) == {running, waiting}
     assert batcher.num_outstanding == 0
     assert all(r.status == "failed" for r in aborted)
+
+
+def _prefilled(batcher, *output_lens, prompt_len=10):
+    requests = [make_request(prompt_len=prompt_len, output_len=n) for n in output_lens]
+    for request in requests:
+        batcher.enqueue(request, now=0.0)
+    plan = batcher.plan_step(now=0.0)
+    batcher.complete_prefill(plan.admitted, now=0.5)
+    return requests
+
+
+def test_max_decode_steps_runs_to_the_first_finish(batcher):
+    _prefilled(batcher, 5, 9)
+    assert batcher.max_decode_steps() == 4
+
+
+def test_max_decode_steps_is_one_while_requests_wait(batcher):
+    _prefilled(batcher, 5, 9)
+    batcher.enqueue(make_request(prompt_len=10, output_len=3), now=0.6)
+    assert batcher.max_decode_steps() == 1
+
+
+def test_max_decode_steps_stops_before_a_preemption(batcher):
+    # 2 x 900 prompt tokens leave 198 of the 2000-token budget.
+    _prefilled(batcher, 500, 500, prompt_len=900)
+    assert batcher.memory.free_tokens == 198
+    assert batcher.max_decode_steps() == 99
+
+
+def test_a_multi_step_decode_equals_single_steps(batcher):
+    folded = ContinuousBatcher(TINY_TEST_PROFILE)
+    stepped = _prefilled(batcher, 4, 7)
+    spanned = _prefilled(folded, 4, 7)
+    for clock in (1.0, 2.0):
+        assert batcher.complete_decode_step(now=clock) == []
+    assert folded.complete_decode_step(now=2.0, steps=2) == []
+    assert batcher.complete_decode_step(now=3.0) == [stepped[0]]
+    assert folded.complete_decode_step(now=3.0) == [spanned[0]]
+    for ours, theirs in zip(stepped, spanned):
+        assert ours.generated_tokens == theirs.generated_tokens
+    assert batcher.total_generated_tokens == folded.total_generated_tokens
+    assert batcher.memory.used_tokens == folded.memory.used_tokens
+    assert batcher.memory.context_tokens_total == folded.memory.context_tokens_total
+    folded.memory.check_invariants()

@@ -116,3 +116,34 @@ def test_nested_process_spawning(env):
     env.run()
     assert results == [30]
     assert env.now == 3.0
+
+
+def test_timeout_at_fires_at_the_exact_absolute_time(env):
+    # A chained float: timeout_at keeps it exactly, where
+    # timeout(when - now) may round it on the way back.
+    when = 0.1 + 0.2
+    env.run(until=0.1)
+    event = env.timeout_at(when, value="late")
+    assert env.run(until=event) == "late"
+    assert env.now == when
+
+
+def test_timeout_at_now_is_allowed(env):
+    env.run(until=1.5)
+    event = env.timeout_at(1.5)
+    env.run(until=event)
+    assert env.now == 1.5
+
+
+def test_timeout_at_in_the_past_names_the_time(env):
+    env.run(until=2.0)
+    with pytest.raises(ValueError, match=r"when=1\.25 lies in the past"):
+        env.timeout_at(1.25)
+
+
+def test_timeout_at_orders_ties_by_insertion(env):
+    log = []
+    env.timeout(1.0).callbacks.append(lambda _e: log.append("relative"))
+    env.timeout_at(1.0).callbacks.append(lambda _e: log.append("absolute"))
+    env.run()
+    assert log == ["relative", "absolute"]

@@ -6,11 +6,12 @@ every golden trace in this repo was recorded against the heap.  Two seeded
 fuzzers pin that:
 
 * a **structure-level** fuzzer drives the two raw timelines with the same
-  randomized push/pop schedules (mixed delays, priorities, same-timestamp
-  bursts, ``inf`` entries) and asserts the popped sequences are identical,
-  entry for entry, and
+  randomized push/pop schedules (mixed delays, absolute times, priorities,
+  same-timestamp bursts, ``inf`` entries) and asserts the popped sequences
+  are identical, entry for entry, and
 * an **engine-level** fuzzer builds randomized simulations (processes with
-  mixed delays, same-time bursts, ``AllOf``/``AnyOf`` conditions, events
+  mixed delays, absolute-time ``timeout_at`` waits on a shared grid,
+  same-time bursts, ``AllOf``/``AnyOf`` conditions, events
   succeeded by helpers, urgent-priority interrupts that cancel waits) from a
   pre-drawn script, runs the identical script under
   ``Environment(timeline="heap")`` and ``Environment(timeline="calendar")``
@@ -59,6 +60,11 @@ def _structure_schedule(seed: int):
             else:
                 delay = float("inf")
             ops.append(("push", delay, rng.randrange(3)))
+        elif rng.random() < 0.25:
+            # Absolute time on a coarse grid (clamped to the clock when
+            # it has passed), so it ties with relative pushes.
+            when = rng.choice([1.0, 2.0, 2.5, rng.uniform(0.0, 60.0)])
+            ops.append(("push_at", when, rng.randrange(3)))
         else:
             ops.append(("pop",))
     return ops
@@ -75,6 +81,10 @@ def _drive_structure(timeline, ops):
             eid += 1
             pushes += 1
             timeline.push((now + op[1], op[2], eid, f"payload-{eid}"))
+        elif op[0] == "push_at":
+            eid += 1
+            pushes += 1
+            timeline.push((max(now, op[1]), op[2], eid, f"payload-{eid}"))
         elif timeline:
             entry = timeline.pop()
             popped.append(entry)
@@ -117,9 +127,13 @@ def _engine_script(seed: int):
         steps = []
         for _ in range(rng.randrange(1, 7)):
             roll = rng.random()
-            if roll < 0.40:
+            if roll < 0.30:
                 # Plain timeout; coarse grid forces same-timestamp ties.
                 steps.append(("timeout", rng.choice([0.0, 0.5, 0.5, 1.0, rng.uniform(0, 4)])))
+            elif roll < 0.40:
+                # Absolute wake-up on the same grid (falls back to a delay
+                # once the clock has passed it).
+                steps.append(("timeout_at", rng.choice([0.5, 1.0, 1.5, 2.0, rng.uniform(0, 4)])))
             elif roll < 0.55:
                 # Same-timestamp burst: AllOf over n equal-delay timeouts.
                 steps.append(("burst", rng.randrange(2, 5), rng.choice([0.5, 1.0])))
@@ -154,6 +168,9 @@ def _run_engine_script(script, timeline: str):
             try:
                 if step[0] == "timeout":
                     yield env.timeout(step[1])
+                elif step[0] == "timeout_at":
+                    when = step[1] if step[1] >= env.now else env.now + step[1]
+                    yield env.timeout_at(when)
                 elif step[0] == "burst":
                     yield env.all_of([env.timeout(step[2]) for _ in range(step[1])])
                 elif step[0] == "all_of":

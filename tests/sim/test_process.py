@@ -156,3 +156,48 @@ def test_process_waiting_on_already_processed_event(env):
     process = env.process(parent(env))
     env.run()
     assert not process.is_alive
+
+
+def test_retarget_moves_the_wait_to_an_earlier_event(env):
+    log = []
+
+    def sleeper(env):
+        value = yield env.timeout(10.0, value="late")
+        log.append((env.now, value))
+        yield env.timeout(1.0)
+        log.append((env.now, "after"))
+
+    proc = env.process(sleeper(env))
+    env.run(until=1.0)
+    proc.retarget(env.timeout(2.0, value="early"))
+    env.run()
+    # The abandoned 10 s timeout still pops, but resumes nobody.
+    assert log == [(3.0, "early"), (4.0, "after")]
+    assert env.now == 10.0
+
+
+def test_interrupt_after_retarget_detaches_from_the_new_target(env):
+    log = []
+
+    def sleeper(env):
+        try:
+            yield env.timeout(10.0)
+        except Interrupt:
+            log.append(("interrupted", env.now))
+
+    proc = env.process(sleeper(env))
+    env.run(until=1.0)
+    proc.retarget(env.timeout(2.0))
+    proc.interrupt()
+    env.run()
+    assert log == [("interrupted", 1.0)]
+    assert not proc.is_alive
+
+
+def test_retarget_requires_a_waiting_process(env):
+    def sleeper(env):
+        yield env.timeout(1.0)
+
+    proc = env.process(sleeper(env))
+    with pytest.raises(RuntimeError):
+        proc.retarget(env.event())
