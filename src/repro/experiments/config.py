@@ -78,10 +78,23 @@ class ClusterConfig:
     #: keeps the flat legacy model and is bit-identical to it.
     memory: Optional[MemoryConfig] = None
     record_utilization: bool = False
-    #: Optional graph-routed WAN (:class:`~repro.net.NetConfig`): multi-hop
-    #: topology, routing policy and shared-link bandwidth contention.
-    #: ``None`` keeps the legacy pairwise network, byte-for-byte.
-    network: Optional[NetConfig] = None
+    #: The WAN (:class:`~repro.net.NetConfig`): graph topology, routing
+    #: policy and shared-link bandwidth contention.  The default is the
+    #: uncontended ``"mesh"`` graph over the latency matrix.
+    network: NetConfig = NetConfig()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.network, NetConfig):
+            raise ValueError(
+                f"network must be a NetConfig (NetConfig() is the default mesh), "
+                f"got {self.network!r}"
+            )
+        for region, count in self.replicas_per_region.items():
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ValueError(
+                    f"replicas_per_region[{region!r}] must be a non-negative int, "
+                    f"got {count!r}"
+                )
 
     @property
     def total_replicas(self) -> int:

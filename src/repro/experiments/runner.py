@@ -30,7 +30,6 @@ from ..metrics import (
     collect_run_metrics,
     paired_difference,
 )
-from ..net import build_routed_network
 from ..network import Network, default_topology
 from ..sim import Environment
 from ..workloads.program import Program
@@ -128,23 +127,14 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
     """Build the full stack, run it and collect metrics."""
     env = Environment()
     topology = default_topology()
-    if config.cluster.network is not None:
-        # The graph-routed WAN (repro.net): multi-hop routes, per-edge
-        # faults, optional shared-link bandwidth contention.  With the
-        # default NetConfig ("mesh", bandwidth 0) this is bit-identical to
-        # the pairwise Network below.
-        network = build_routed_network(
-            env,
-            config.cluster.network,
-            topology,
-            jitter_fraction=config.network_jitter,
-            seed=config.seed,
-            default_kv_bytes_per_token=config.cluster.profile.kv_bytes_per_token,
-        )
-    else:
-        network = Network(
-            env, topology, jitter_fraction=config.network_jitter, seed=config.seed
-        )
+    network = Network(
+        env,
+        topology,
+        config.cluster.network,
+        jitter_fraction=config.network_jitter,
+        seed=config.seed,
+        default_kv_bytes_per_token=config.cluster.profile.kv_bytes_per_token,
+    )
 
     specs = [
         ReplicaSpec(region=region, count=count, profile=config.cluster.profile)
@@ -165,10 +155,9 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
     tracker = RequestTracker(env)
     for replica in deployment.replicas:
         replica.add_completion_listener(tracker.complete)
-        if network.contention_enabled and getattr(network, "model_responses", False):
+        if network.contention_enabled and network.model_responses:
             # Finished responses become phantom reverse-path transfers so
-            # they share contended WAN edges with pushes (repro.net); inert
-            # on the legacy pairwise network and with contention off.
+            # they share contended WAN edges with pushes.
             replica.add_completion_listener(network.stream_response)
 
     push_transfer = None

@@ -186,9 +186,13 @@ class FaultInjector:
         self._process = None
         self._started = False
         # Validate every kind up front: a typo should fail fast at setup,
-        # not minutes into the simulation.
+        # not minutes into the simulation.  So should a link fault aimed at
+        # a region pair that is not an edge of the WAN graph, where it
+        # would silently never apply.
         for event in self.schedule.events:
             resolve_fault(event.fault.kind)
+            if isinstance(event.fault, (LinkLatencySpike, LinkDegrade)):
+                network.check_link(event.fault.a, event.fault.b)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -597,11 +601,10 @@ def _apply_link_degrade(
     description="Take one physical link down (routes re-converge around it)",
 )
 def _apply_link_down(spec: LinkDown, ctx: FaultContext, record: FaultRecord) -> None:
-    # On the routed network this downs a graph edge and the routing policy
-    # re-converges deterministically (traffic re-routes where the topology
-    # allows); on the pairwise network set_edge_down falls back to a pair
-    # block.  Either way downs are reference-counted, so overlapping
-    # link-down faults compose and each heal removes only its own down.
+    # Downs a graph edge and the routing policy re-converges
+    # deterministically (traffic re-routes where the topology allows).
+    # Downs are reference-counted, so overlapping link-down faults compose
+    # and each heal removes only its own down.
     record.target = f"{spec.a}<->{spec.b}"
     ctx.network.set_edge_down(spec.a, spec.b, True)
     if spec.duration_s is not None:

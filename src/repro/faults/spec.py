@@ -54,12 +54,10 @@ Built-in kinds (appliers live in :mod:`repro.faults.injector`):
     Gray network failure: per-message loss probability and extra jitter on
     a link.  Probes feel the jitter but are never lost (slow, not dead).
 ``link-down`` / ``link-up``
-    Take one physical link down / bring it back.  On the graph-routed
-    network (:mod:`repro.net`) this downs a graph edge and re-converges
-    routes around the cut (traffic *re-routes* where the topology allows,
-    unlike a ``region-partition`` which forbids the pair outright); on the
-    legacy pairwise network an edge and a region pair are the same thing,
-    so it degenerates to a partition.
+    Take one physical link down / bring it back.  This downs an edge of
+    the WAN graph (:mod:`repro.net`) and re-converges routes around the
+    cut: traffic *re-routes* where the topology allows, unlike a
+    ``region-partition``, which forbids the pair outright.
 """
 
 from __future__ import annotations
@@ -186,7 +184,9 @@ class LinkLatencySpike(FaultSpec):
     Spikes compose: overlapping spikes on the same link sum, and each one
     removes exactly its own surcharge when it settles.  A spike on a
     partitioned link never resurrects the partition -- blocking and latency
-    are independent per-edge states.
+    are independent per-edge states.  ``a``/``b`` must be an edge of the WAN
+    graph (or one region twice); the injector rejects any other pair before
+    the run starts.
     """
 
     kind: str = "link-latency-spike"
@@ -234,7 +234,9 @@ class LinkDegrade(FaultSpec):
     fraction of the base one-way latency).  Loss draws come from the
     network's own seeded fault RNG -- never the workload or jitter streams
     -- so degraded runs stay deterministic per seed.  Probes are jittered
-    but never lost: a gray link looks slow, not partitioned.
+    but never lost: a gray link looks slow, not partitioned.  ``a``/``b``
+    must be an edge of the WAN graph (or one region twice), as for
+    :class:`LinkLatencySpike`.
     """
 
     kind: str = "link-degrade"
@@ -249,8 +251,8 @@ class LinkDegrade(FaultSpec):
 class LinkDown(FaultSpec):
     """Take the physical ``a``<->``b`` link down (both directions).
 
-    ``a``/``b`` name *graph nodes* -- regions or WAN routers.  On the
-    routed network the route table re-converges deterministically around
+    ``a``/``b`` name *graph nodes* -- regions or WAN routers.  The
+    network's route table re-converges deterministically around
     the cut (observable as ``route_changed`` events); pairs left with no
     surviving path drop messages until the link heals.  Downs are
     reference-counted, so overlapping faults compose.  ``duration_s=None``

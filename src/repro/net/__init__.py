@@ -1,25 +1,26 @@
-"""``repro.net``: the graph-routed WAN with shared-link bandwidth contention.
+"""``repro.net``: the routed WAN every simulated message crosses.
 
-The legacy :mod:`repro.network` models the WAN as a pairwise latency matrix:
-every region pair has a private wire, so messages never share a path and the
-bandwidth-scarce regime the paper's BP vs SP-O/SP-P comparison diverges in
-is unreachable.  This package replaces the wire with a routed graph:
+:class:`Network` is the simulator's one transport.  It routes over a WAN
+graph instead of a private wire per region pair, so messages can share a
+path and queue for its bandwidth -- the bandwidth-scarce regime the
+paper's BP vs SP-O/SP-P comparison diverges in:
 
 * :mod:`~repro.net.graph` -- :class:`WanGraph` (regions + WAN routers,
   directed edges with latency and optional finite bandwidth) and the
-  ``register_wan_topology`` builder registry (``"mesh"``, ``"backbone"``).
+  ``register_wan_topology`` builder registry (``"mesh"``, the default,
+  and ``"backbone"``).
 * :mod:`~repro.net.routing` -- the ``register_routing_policy`` registry
   (``"shortest-path"`` Dijkstra with the deterministic ``(cost, name)``
   tie-break, ``"static-route"``, ``"cost-weighted"``).
-* :mod:`~repro.net.routed` -- :class:`RoutedNetwork`, a drop-in
-  :class:`~repro.network.Network` doing multi-hop delivery, per-edge FIFO
-  contention and deterministic route re-convergence under faults
-  (observable as :class:`RouteChange` events).
+* :mod:`~repro.net.transport` -- :class:`Network`: latency sampling along
+  routes, multi-hop delivery, per-edge FIFO contention, link faults and
+  deterministic route re-convergence (observable as :class:`RouteChange`
+  events).  :mod:`repro.network` re-exports it.
 * :mod:`~repro.net.config` -- the frozen :class:`NetConfig` that rides on
   :class:`~repro.experiments.config.ClusterConfig` into sweep workers.
 
-With contention disabled (the default) the routed ``"mesh"`` network is
-bit-identical to the legacy pairwise one -- see ``docs/NETWORK.md`` for the
+The default ``NetConfig()`` is the uncontended ``"mesh"`` graph: one
+direct edge per latency-matrix entry.  See ``docs/NETWORK.md`` for the
 full determinism contract.
 """
 
@@ -31,7 +32,6 @@ from .graph import (
     register_wan_topology,
     registered_wan_topologies,
 )
-from .routed import RoutedNetwork, RouteChange, build_routed_network
 from .routing import (
     CostWeightedRouting,
     RoutingPolicy,
@@ -42,6 +42,11 @@ from .routing import (
     registered_routing_policies,
 )
 from .trace import run_route_trace
+from .transport import Network, RouteChange
+
+# Old name of Network, kept only for the benchmark harness (perfbench/),
+# which still imports it.
+RoutedNetwork = Network
 
 __all__ = [
     "NetConfig",
@@ -57,8 +62,7 @@ __all__ = [
     "register_routing_policy",
     "make_routing_policy",
     "registered_routing_policies",
-    "RoutedNetwork",
+    "Network",
     "RouteChange",
-    "build_routed_network",
     "run_route_trace",
 ]

@@ -1,11 +1,11 @@
 """Frozen configuration for the routed WAN (picklable into sweep workers).
 
 ``NetConfig`` follows the house config contract: a frozen dataclass carrying
-only registry *names* plus scalars, resolved into live objects
-(:func:`repro.net.routed.build_routed_network`) inside each worker process.
-Attach one to :class:`~repro.experiments.config.ClusterConfig` via its
-``network`` field; ``None`` (the default) keeps the legacy pairwise
-:class:`~repro.network.Network` byte-for-byte.
+only registry *names* plus scalars, resolved into live objects by the
+:class:`~repro.net.transport.Network` constructor inside each worker
+process.  :class:`~repro.experiments.config.ClusterConfig` carries one in
+its ``network`` field; the default ``NetConfig()`` is the uncontended
+``"mesh"`` graph.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ __all__ = ["NetConfig"]
 
 @dataclass(frozen=True)
 class NetConfig:
-    """How to build the routed network for an experiment.
+    """How to build the network for an experiment.
 
     ``wan_bandwidth_bytes_per_s=0`` (the default) leaves every edge
-    uncontended: messages pay only routed latency, wire sizes stay zero and
-    the run is bit-identical to the legacy pairwise network on the
-    ``"mesh"`` topology.  A positive bandwidth turns the topology's WAN
-    edges into shared FIFOs and switches dispatch into computing wire
-    sizes from the per-token byte rates below.
+    uncontended: messages pay only routed latency and dispatch computes no
+    wire sizes.  On the default ``"mesh"`` topology every route is then the
+    single direct edge at its latency-matrix entry.  A positive bandwidth
+    turns the topology's WAN edges into shared FIFOs and switches dispatch
+    into computing wire sizes from the per-token byte rates below.
     """
 
     #: Registered WAN topology builder (``repro.net.graph``).

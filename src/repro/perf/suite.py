@@ -259,15 +259,15 @@ def _bench_fig8_wildchat_cell(quick: bool) -> BenchResult:
 
 
 def _bench_net_transit_sampling(quick: bool) -> BenchResult:
-    from repro.net import NetConfig, build_routed_network
-    from repro.network import default_topology
+    from repro.net import NetConfig
+    from repro.network import Network, default_topology
     from repro.sim import Environment
 
     def make_network():
-        return build_routed_network(
+        return Network(
             Environment(),
-            NetConfig(topology="backbone"),
             default_topology(),
+            NetConfig(topology="backbone"),
             jitter_fraction=0.05,
             seed=0,
         )

@@ -10,6 +10,7 @@ from repro.experiments import (
     SkyWalkerConfig,
     WorkloadSpec,
 )
+from repro.net import NetConfig
 from repro.workloads import Program
 
 from ..conftest import make_request
@@ -35,6 +36,27 @@ def test_system_name_defaults_to_kind_but_label_wins():
 def test_cluster_config_counts_replicas():
     cluster = ClusterConfig(replicas_per_region={"us": 3, "eu": 2, "asia": 1})
     assert cluster.total_replicas == 6
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"network": None}, r"network must be a NetConfig.*None"),
+        ({"network": "backbone"}, r"network must be a NetConfig.*'backbone'"),
+        ({"replicas_per_region": {"us": 1, "eu": -1}}, r"replicas_per_region\['eu'\].*-1"),
+        ({"replicas_per_region": {"us": 1.5}}, r"replicas_per_region\['us'\].*1\.5"),
+        ({"replicas_per_region": {"asia": "2"}}, r"replicas_per_region\['asia'\].*'2'"),
+        ({"replicas_per_region": {"us": True}}, r"replicas_per_region\['us'\].*True"),
+    ],
+)
+def test_cluster_config_rejects_invalid_fields(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ClusterConfig(**kwargs)
+
+
+def test_cluster_config_defaults_and_zero_counts_are_valid():
+    assert ClusterConfig().network == NetConfig()
+    assert ClusterConfig(replicas_per_region={"us": 0, "eu": 2}).total_replicas == 2
 
 
 def test_workload_spec_counts_programs_and_requests():

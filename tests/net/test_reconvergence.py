@@ -1,6 +1,6 @@
 """Route re-convergence determinism: serial == workers=2 == forced spawn.
 
-The routed network's ``route_changed`` event sequence is part of the
+The network's ``route_changed`` event sequence is part of the
 deterministic run payload: a partition -> heal replay (plus explicit
 link-down/link-up faults on backbone edges) must produce identical event
 tuples whether the cell runs in-process, in a forked worker pool, or in a

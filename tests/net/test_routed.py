@@ -1,79 +1,125 @@
-"""Tests for the routed network: bit-identity, contention, fault refit."""
+"""Tests for the network: mesh golden fixture, routing, contention, faults."""
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.net import NetConfig, RoutedNetwork, build_routed_network
-from repro.network import Network, default_topology
+from repro.experiments import (
+    REGISTRY,
+    ClusterConfig,
+    ExperimentConfig,
+    build_tot_workload,
+    run_experiment,
+)
+from repro.faults import FaultInjector, FaultSchedule, LinkDegrade, LinkLatencySpike
+from repro.net import NetConfig, WanGraph, register_wan_topology
+from repro.net.graph import _WAN_TOPOLOGIES
+from repro.network import Network, default_topology, wide_topology
+from repro.replica import TINY_TEST_PROFILE
 from repro.sim import Environment, Store
 
 REGIONS = ("us", "eu", "asia")
 
+#: Outputs of the former pairwise-matrix network (one private wire per
+#: region pair), recorded before it was folded into the routed one: the
+#: default mesh must keep reproducing them bit for bit.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "mesh_golden.json").read_text())
 
-def _legacy(seed=0, jitter=0.05):
-    env = Environment()
-    return Network(env, default_topology(), jitter_fraction=jitter, seed=seed)
 
-
-def _routed(seed=0, jitter=0.05, **config_kwargs):
-    env = Environment()
-    return build_routed_network(
-        env,
-        NetConfig(**config_kwargs),
+def _network(seed=0, jitter=0.05, **config_kwargs):
+    return Network(
+        Environment(),
         default_topology(),
+        NetConfig(**config_kwargs),
         jitter_fraction=jitter,
         seed=seed,
     )
 
 
 # ----------------------------------------------------------------------
-# the bit-identity contract (contention off, mesh topology)
+# the mesh golden fixture (contention off, the default network)
 # ----------------------------------------------------------------------
 def test_mesh_sampling_is_bit_identical_to_legacy():
-    legacy, routed = _legacy(seed=3), _routed(seed=3)
-    for _ in range(5):
-        for src in REGIONS:
-            for dst in REGIONS:
-                assert legacy.sample_one_way(src, dst) == routed.sample_one_way(src, dst)
+    golden = GOLDEN["sampling"]
+    network = _network(seed=golden["seed"], jitter=golden["jitter_fraction"])
+    samples = [
+        [src, dst, network.sample_one_way(src, dst)]
+        for _ in range(golden["rounds"])
+        for src in REGIONS
+        for dst in REGIONS
+    ]
+    assert samples == golden["samples"]
 
 
 def test_mesh_sampling_bit_identical_under_spike_and_degrade():
-    legacy, routed = _legacy(seed=7), _routed(seed=7)
-    for network in (legacy, routed):
-        network.add_link_extra_latency("us", "eu", 0.05)
-        network.add_link_degrade(
-            "us", "eu", loss_probability=0.2, extra_jitter_fraction=0.4
-        )
-    # Same floats AND the same fault-RNG stream consumption (jitter draws
-    # and loss draws interleave identically).
-    for _ in range(20):
-        assert legacy.sample_one_way("us", "eu") == routed.sample_one_way("us", "eu")
-        assert legacy._message_lost("us", "eu") == routed._message_lost("us", "eu")
+    golden = GOLDEN["spike_and_degrade"]
+    network = _network(seed=golden["seed"], jitter=golden["jitter_fraction"])
+    network.add_link_extra_latency("us", "eu", golden["extra_latency_s"])
+    network.add_link_degrade(
+        "us",
+        "eu",
+        loss_probability=golden["loss_probability"],
+        extra_jitter_fraction=golden["extra_jitter_fraction"],
+    )
+    # Same floats AND the same fault-RNG stream consumption: jitter and
+    # loss draws interleave exactly as recorded, and the fault-free us->asia
+    # pair draws nothing from the fault RNG.
+    draws = [
+        [
+            network.sample_one_way("us", "eu"),
+            network._message_lost("us", "eu"),
+            network.sample_one_way("us", "asia"),
+            network._message_lost("us", "asia"),
+        ]
+        for _ in golden["draws"]
+    ]
+    assert draws == golden["draws"]
+    losses = [draw[1] for draw in draws]
+    assert any(losses) and not all(losses)
 
 
 def test_mesh_delivery_bit_identical_to_legacy():
-    results = []
-    for make in (_legacy, _routed):
-        network = make(seed=5)
-        inbox = Store(network.env)
-        arrivals = []
+    golden = GOLDEN["delivery"]
+    network = _network(seed=golden["seed"], jitter=golden["jitter_fraction"])
+    inbox = Store(network.env)
+    arrivals = []
 
-        def consume(env=network.env, inbox=inbox, arrivals=arrivals):
-            while True:
-                item = yield inbox.get()
-                arrivals.append((env.now, item))
+    def consume():
+        while True:
+            item = yield inbox.get()
+            arrivals.append([network.env.now, item])
 
-        network.env.process(consume())
-        for index in range(10):
-            network.deliver(index, "us", "eu", inbox, extra_delay=0.01 * index)
-        network.env.run(until=10.0)
-        results.append(arrivals)
-    assert results[0] == results[1]
+    network.env.process(consume())
+    for index in range(len(golden["arrivals"])):
+        network.deliver(index, "us", "eu", inbox, extra_delay=0.01 * index)
+    network.env.run(until=10.0)
+    assert arrivals == golden["arrivals"]
+
+
+@pytest.mark.parametrize("make_topology", [default_topology, wide_topology])
+def test_mesh_routes_are_single_direct_edges(make_topology):
+    # The premise of the golden fixture: with a latency matrix that obeys
+    # the triangle inequality, shortest-path routing on the mesh never
+    # goes multi-hop, so every pair keeps its own matrix latency.
+    topology = make_topology()
+    network = Network(Environment(), topology)
+    regions = topology.region_names()
+    for src in regions:
+        for dst in regions:
+            if src != dst:
+                assert network.route(src, dst) == (src, dst)
+    jitterless = Network(Environment(), topology, jitter_fraction=0.0)
+    for src in regions:
+        for dst in regions:
+            assert jitterless.sample_one_way(src, dst) == topology.one_way(src, dst)
 
 
 def test_contention_off_is_default():
-    routed = _routed()
-    assert not routed.contention_enabled
-    assert isinstance(routed, RoutedNetwork)
+    network = Network(Environment(), default_topology())
+    assert not network.contention_enabled
+    assert network.graph.has_edge("us", "eu")
+    assert ClusterConfig().network == NetConfig()
 
 
 # ----------------------------------------------------------------------
@@ -81,14 +127,14 @@ def test_contention_off_is_default():
 # ----------------------------------------------------------------------
 def test_spike_and_degrade_compose_additively_per_edge_and_revert_either_order():
     # jitter off so samples are exact sums.
-    base = _routed(jitter=0.0, topology="backbone")
+    base = _network(jitter=0.0, topology="backbone")
     path = base.route("us", "eu")
     assert path == ("us", "wan/north-america", "wan/europe", "eu")
     pristine = base.sample_one_way("us", "eu")
     assert pristine == pytest.approx(0.075)
 
     for revert_order in ("spike-first", "degrade-first"):
-        network = _routed(jitter=0.0, topology="backbone")
+        network = _network(jitter=0.0, topology="backbone")
         # A latency spike on the access edge and a (jitter-only) degrade on
         # the backbone edge: different edges, same us->eu path.
         network.add_link_extra_latency("us", "wan/north-america", 0.010)
@@ -128,7 +174,7 @@ def test_spike_and_degrade_compose_additively_per_edge_and_revert_either_order()
 
 
 def test_multi_hop_loss_draws_per_lossy_edge():
-    network = _routed(jitter=0.0, topology="backbone", seed=11)
+    network = _network(jitter=0.0, topology="backbone", seed=11)
     network.add_link_degrade(
         "wan/north-america", "wan/europe", loss_probability=0.5,
         extra_jitter_fraction=0.0,
@@ -143,7 +189,7 @@ def test_multi_hop_loss_draws_per_lossy_edge():
 # partitions, edge downs, route events
 # ----------------------------------------------------------------------
 def test_partition_is_a_graph_cut_with_route_events():
-    network = _routed(topology="backbone")
+    network = _network(topology="backbone")
     network.set_link_blocked("us", "eu", True)
     assert not network.reachable("us", "eu")
     assert network.link_blocked("us", "eu")
@@ -165,7 +211,7 @@ def test_partition_is_a_graph_cut_with_route_events():
 
 
 def test_unreachable_pair_drops_messages_until_heal():
-    network = _routed(topology="backbone")
+    network = _network(topology="backbone")
     inbox = Store(network.env)
     network.set_link_blocked("us", "eu", True)
     network.deliver("lost", "us", "eu", inbox)
@@ -176,8 +222,24 @@ def test_unreachable_pair_drops_messages_until_heal():
     assert list(inbox.items) == ["found"]
 
 
+def test_graph_cut_drops_messages_like_a_partition():
+    # Downing eu's only access edge leaves every pair into eu without a
+    # route, although no region pair is blocked.
+    network = _network(topology="backbone")
+    inbox = Store(network.env)
+    network.set_edge_down("eu", "wan/europe")
+    assert network.link_blocked("us", "eu") and not network.reachable("us", "eu")
+    network.deliver("lost", "us", "eu", inbox)
+    network.call_after_delay("asia", "eu", lambda: inbox.put("lost-callback"))
+    assert network.dropped_messages == 2
+    network.set_edge_down("eu", "wan/europe", False)
+    network.deliver("found", "us", "eu", inbox)
+    network.env.run(until=1.0)
+    assert list(inbox.items) == ["found"]
+
+
 def test_edge_down_reroutes_on_redundant_backbone():
-    network = _routed(topology="backbone", topology_args=(("redundancy", 2),))
+    network = _network(topology="backbone", topology_args=(("redundancy", 2),))
     assert network.route("us", "eu") == ("us", "wan/north-america/a", "wan/europe/a", "eu")
     network.set_edge_down("wan/north-america/a", "wan/europe/a")
     # Still reachable: the policy re-converged onto the surviving plane.
@@ -191,13 +253,13 @@ def test_edge_down_reroutes_on_redundant_backbone():
 
 
 def test_edge_down_unknown_edge_raises():
-    network = _routed(topology="backbone")
+    network = _network(topology="backbone")
     with pytest.raises(KeyError, match="'us' -> 'eu'"):
         network.set_edge_down("us", "eu")
 
 
 def test_edge_downs_are_refcounted():
-    network = _routed(topology="backbone", topology_args=(("redundancy", 2),))
+    network = _network(topology="backbone", topology_args=(("redundancy", 2),))
     edge = ("wan/north-america/a", "wan/europe/a")
     network.set_edge_down(*edge)
     network.set_edge_down(*edge)
@@ -209,20 +271,24 @@ def test_edge_downs_are_refcounted():
 
 
 def test_disconnected_topology_rejected_at_build():
-    from repro.net import WanGraph
-    from repro.net.routing import ShortestPathRouting
+    @register_wan_topology("test-disconnected")
+    def build_disconnected(regions, *, wan_bandwidth_bytes_per_s=0.0):
+        graph = WanGraph(regions)
+        graph.add_edge("us", "eu", 0.075)  # asia left unconnected
+        return graph
 
-    graph = WanGraph(default_topology())
-    graph.add_edge("us", "eu", 0.075)  # asia left unconnected
-    with pytest.raises(ValueError, match="asia"):
-        RoutedNetwork(Environment(), graph, ShortestPathRouting())
+    try:
+        with pytest.raises(ValueError, match="asia"):
+            _network(topology="test-disconnected")
+    finally:
+        _WAN_TOPOLOGIES.unregister("test-disconnected")
 
 
 # ----------------------------------------------------------------------
 # bandwidth contention
 # ----------------------------------------------------------------------
 def _contended(bandwidth, seed=0):
-    return _routed(
+    return _network(
         seed=seed,
         jitter=0.0,
         topology="backbone",
@@ -316,3 +382,58 @@ def test_netconfig_validation():
         NetConfig(request_bytes_per_token=-1.0)
     with pytest.raises(ValueError, match="topology_args"):
         NetConfig(topology_args=("not-a-pair",))
+
+
+# ----------------------------------------------------------------------
+# link faults must target graph edges
+# ----------------------------------------------------------------------
+def test_link_faults_on_a_non_edge_pair_are_rejected():
+    network = _network(topology="backbone")
+    route_edges = "'us' -> 'wan/north-america', 'wan/north-america' -> 'wan/europe'"
+    with pytest.raises(ValueError, match=f"'us' -> 'eu'.*{route_edges}"):
+        network.add_link_extra_latency("us", "eu", 0.5)
+    with pytest.raises(ValueError, match="'us' -> 'eu'"):
+        network.add_link_degrade("us", "eu", loss_probability=1.0)
+    with pytest.raises(ValueError, match="'us' -> 'mars'"):
+        network.check_link("us", "mars")
+    assert not network._extra_latency and not network._link_loss
+    # Graph edges and same-region pairs still take faults.
+    network.add_link_extra_latency("us", "wan/north-america", 0.5)
+    network.add_link_degrade("us", "us", extra_jitter_fraction=0.5)
+    # On the default mesh every region pair is an edge.
+    _network().add_link_extra_latency("us", "eu", 0.5)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        LinkLatencySpike(a="us", b="eu", extra_s=0.5),
+        LinkDegrade(a="us", b="eu", loss_probability=1.0),
+    ],
+)
+def test_backbone_run_with_a_non_edge_link_fault_raises(fault):
+    workload = build_tot_workload(scale=0.02, seed=2)
+    config = ExperimentConfig(
+        system=REGISTRY.spec("skywalker", hash_key=workload.hash_key),
+        cluster=ClusterConfig(
+            replicas_per_region={"us": 1, "eu": 1, "asia": 1},
+            profile=TINY_TEST_PROFILE,
+            network=NetConfig(topology="backbone"),
+        ),
+        duration_s=5.0,
+        seed=1,
+        faults=FaultSchedule.single(1.0, fault),
+    )
+    with pytest.raises(ValueError, match="not an edge of the WAN graph"):
+        run_experiment(config, workload)
+    # The injector rejects it at construction, before the simulation runs.
+    network = _network(topology="backbone")
+    with pytest.raises(ValueError, match="'us' -> 'eu'"):
+        FaultInjector(
+            network.env,
+            FaultSchedule.single(1.0, fault),
+            network=network,
+            deployment=None,
+            frontend=None,
+            balancers=[],
+        )

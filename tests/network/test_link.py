@@ -130,19 +130,22 @@ def test_asymmetric_block(env, net):
 
 def test_latency_spike_inflates_one_way_samples(env, net):
     base = net.topology.one_way("us", "eu")
-    net.set_link_extra_latency("us", "eu", 0.25)
+    net.add_link_extra_latency("us", "eu", 0.25)
     assert net.sample_one_way("us", "eu") == pytest.approx(base + 0.25)
     assert net.sample_one_way("eu", "us") == pytest.approx(base + 0.25)
     assert net.link_extra_latency("us", "eu") == pytest.approx(0.25)
-    # Other links are untouched, and clearing restores the baseline.
+    # Other links are untouched, and removing the spike restores the
+    # baseline exactly (the surcharge entry is gone, not left at ~0).
     assert net.sample_one_way("us", "asia") == pytest.approx(net.topology.one_way("us", "asia"))
-    net.set_link_extra_latency("us", "eu", 0.0)
-    assert net.sample_one_way("us", "eu") == pytest.approx(base)
+    net.remove_link_extra_latency("us", "eu", 0.25)
+    assert net.link_extra_latency("us", "eu") == 0.0
+    assert net.sample_one_way("us", "eu") == base
 
 
 def test_latency_spike_rejects_negative(env, net):
     with pytest.raises(ValueError, match="non-negative"):
-        net.set_link_extra_latency("us", "eu", -0.1)
+        net.add_link_extra_latency("us", "eu", -0.1)
+    assert net.link_extra_latency("us", "eu") == 0.0
 
 
 def test_overlapping_blocks_are_reference_counted(env, net):
