@@ -19,7 +19,7 @@ the pushing policy take that into account.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
 from ..network import Network
 from ..replica import ReplicaServer
@@ -29,7 +29,7 @@ from .pushing import PushingPolicy, ReplicaProbe, SelectivePushingPending
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .balancer import SkyWalkerBalancer
 
-__all__ = ["LoadBalancerProbe", "AvailabilityMonitor"]
+__all__ = ["LoadBalancerProbe", "AvailabilityMonitor", "ProbeClock"]
 
 
 class LoadBalancerProbe(NamedTuple):
@@ -42,8 +42,63 @@ class LoadBalancerProbe(NamedTuple):
     probe_time: float
 
 
+class ProbeClock:
+    """Runs the probe cycles of the monitors that share it.
+
+    Monitors due at one float instant share one cycle event, in which each
+    draws its local-probe round trip in the order they fell due; their peer
+    probes then go out in one zero-delay send event, monitor by monitor.
+    One process per monitor drew the jitter RNG in that order: local probes
+    as the processes woke, peer probes from zero-delay start events, and
+    events already queued for the instant ran between the two.
+    """
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        self._due: Dict[float, List["AvailabilityMonitor"]] = {}
+
+    def schedule(self, monitor: "AvailabilityMonitor", when: float) -> None:
+        """Run ``monitor``'s next probe cycle at ``when`` (absolute seconds)."""
+        group = self._due.get(when)
+        if group is None:
+            group = self._due[when] = []
+            self.env.timeout_at(when).callbacks.append(self._cycle)
+        group.append(monitor)
+
+    def _cycle(self, _event: Event) -> None:
+        now = self.env.now
+        sends = []  # (monitor, peer) probes that go out in one event
+        for monitor in self._due.pop(now):
+            sends += [(monitor, peer) for peer in monitor._remote_balancers.values()]
+            if monitor._local_replicas:
+                monitor._probe_local_replicas()
+                continue
+            # Nothing to probe locally: wake any waiter once this cycle.  The
+            # woken balancer runs before later monitors' peer probes, as it
+            # did when every monitor probed from a process of its own.
+            if sends and monitor._change_event.callbacks:
+                self.env.timeout(0.0, sends).callbacks.append(self._probe_peers)
+                sends = []
+            monitor._notify_change()
+            self.schedule(monitor, now + monitor.probe_interval_s)
+        if sends:
+            self.env.timeout(0.0, sends).callbacks.append(self._probe_peers)
+
+    @staticmethod
+    def _probe_peers(event: Event) -> None:
+        for monitor, peer in event.value:
+            monitor._probe_peer(peer)
+
+
 class AvailabilityMonitor:
-    """Tracks which local replicas and remote balancers can accept work."""
+    """Tracks which local replicas and remote balancers can accept work.
+
+    Probe cycles run on ``clock`` (by default a clock of its own).  A cycle
+    sends one intra-region probe covering every local replica and one probe
+    per peer; each reply is a timeout callback that updates the tables and
+    wakes :meth:`wait_for_change` waiters.  The next cycle starts
+    ``probe_interval_s`` after this one, or when a slower local probe returns.
+    """
 
     def __init__(
         self,
@@ -54,7 +109,12 @@ class AvailabilityMonitor:
         pushing_policy: Optional[PushingPolicy] = None,
         probe_interval_s: float = 0.1,
         remote_queue_buffer: int = 4,
+        clock: Optional[ProbeClock] = None,
     ) -> None:
+        if not probe_interval_s > 0:  # 0 would rerun an empty region's cycle forever
+            raise ValueError(f"probe_interval_s must be positive, got {probe_interval_s!r}")
+        if remote_queue_buffer < 0:
+            raise ValueError(f"remote_queue_buffer must be >= 0, got {remote_queue_buffer!r}")
         self.env = env
         self.network = network
         self.region = region
@@ -80,7 +140,9 @@ class AvailabilityMonitor:
         self.load_version = 0
 
         self._change_event: Event = env.event()
-        self._process = None
+        self.clock = clock if clock is not None else ProbeClock(env)
+        self._started = False
+        self._cycle_start = 0.0
 
     # ------------------------------------------------------------------
     # registration
@@ -137,41 +199,26 @@ class AvailabilityMonitor:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self._process is None:
-            self._process = self.env.process(self._run())
+        if not self._started:
+            self._started = True
+            self.clock.schedule(self, self.env.now)
 
-    def _run(self):
-        env = self.env
-        while True:
-            cycle_start = env.now
-            # Probe remote balancers in parallel; each updates its entry when
-            # its own round trip completes.
-            for balancer in list(self._remote_balancers.values()):
-                self._start_balancer_probe(balancer)
-            # Probe local replicas: one intra-region round trip covers them
-            # all (they are probed concurrently in the real system).
-            if self._local_replicas:
-                yield self.network.probe_delay(self.region, self.region)
-                for replica in list(self._local_replicas.values()):
-                    self._record_replica_probe(replica)
-            # Wake any waiter at least once per cycle, even if the probe set
-            # is empty, so the balancer's retry loop can never stall forever.
-            self._notify_change()
-            elapsed = env.now - cycle_start
-            yield env.timeout(max(0.0, self.probe_interval_s - elapsed))
+    def _probe_local_replicas(self) -> None:
+        # One intra-region round trip covers every local replica (they are
+        # probed concurrently in the real system).
+        self._cycle_start = self.env.now
+        reply = self.network.probe_delay(self.region, self.region)
+        reply.callbacks.append(self._record_replica_probes)
 
-    def _start_balancer_probe(self, balancer: "SkyWalkerBalancer") -> None:
-        """Probe one peer balancer as a callback chain (no process).
+    def _record_replica_probes(self, _event: Event) -> None:
+        for replica in list(self._local_replicas.values()):
+            self._record_replica_probe(replica)
+        self._notify_change()
+        now = self.env.now
+        elapsed = now - self._cycle_start
+        self.clock.schedule(self, now + max(0.0, self.probe_interval_s - elapsed))
 
-        The start event sits where a spawned process's first step would, so
-        the round trip is sampled from the shared network RNG at the same
-        point in the schedule.
-        """
-        start = self.env.event()
-        start.callbacks.append(lambda _event: self._send_balancer_probe(balancer))
-        start.succeed()
-
-    def _send_balancer_probe(self, balancer: "SkyWalkerBalancer") -> None:
+    def _probe_peer(self, balancer: "SkyWalkerBalancer") -> None:
         reply = self.network.probe_delay(self.region, balancer.region)
         reply.callbacks.append(lambda _event: self._record_balancer_probe(balancer))
 
@@ -179,9 +226,7 @@ class AvailabilityMonitor:
         # A partitioned peer's probe never really comes back: record it as
         # unhealthy (with no spare replicas) so the peer stops being a
         # forward target until the link heals and a later probe lands.
-        blocked = self.network.link_blocked(
-            self.region, balancer.region
-        ) or self.network.link_blocked(balancer.region, self.region)
+        blocked = self.network.pair_blocked(self.region, balancer.region)
         self.balancer_probes[balancer.name] = LoadBalancerProbe(
             balancer_name=balancer.name,
             healthy=balancer.healthy and not blocked,
@@ -219,6 +264,18 @@ class AvailabilityMonitor:
             if self.pushing_policy.replica_available(probe, dispatched):
                 available.append(replica)
         return available
+
+    def num_available_local_replicas(self) -> int:
+        """``len(available_local_replicas())``, counted (what peers probe)."""
+        count = 0
+        for name, replica in self._local_replicas.items():
+            probe = self.replica_probes.get(name)
+            if probe is None or not replica.healthy:
+                continue
+            dispatched = self._dispatched_since_probe.get(name, 0)
+            if self.pushing_policy.replica_available(probe, dispatched):
+                count += 1
+        return count
 
     def available_remote_balancers(self) -> List["SkyWalkerBalancer"]:
         """Remote balancers with spare replicas and a short queue."""

@@ -25,7 +25,7 @@ from ..network import Network
 from ..replica import ReplicaServer
 from ..sim import Environment, Interrupt
 from ..workloads.request import Request, RequestStatus
-from .availability import AvailabilityMonitor
+from .availability import AvailabilityMonitor, ProbeClock
 from .hash_ring import ConsistentHashRing
 from .interface import BalancerBase
 from .policies import AllowAll, RoutingConstraint
@@ -90,6 +90,7 @@ class SkyWalkerBalancer(BalancerBase):
         hash_key_fn: Callable[[Request], str] = _default_hash_key,
         balance_abs_threshold: int = 8,
         balance_rel_threshold: float = 1.5,
+        probe_clock: Optional[ProbeClock] = None,
     ) -> None:
         super().__init__(env, name, region, network)
         self.selection = selection_policy or make_selection_policy(routing)
@@ -115,6 +116,7 @@ class SkyWalkerBalancer(BalancerBase):
             pushing_policy=self.pushing_policy,
             probe_interval_s=probe_interval_s,
             remote_queue_buffer=remote_queue_buffer,
+            clock=probe_clock,
         )
         # Prefix-aware state (§3.2): one tree/ring per routing layer.
         self.replica_trie: PrefixTree[str] = PrefixTree(max_tokens=trie_max_tokens)
@@ -188,7 +190,7 @@ class SkyWalkerBalancer(BalancerBase):
     # ------------------------------------------------------------------
     @property
     def num_available_replicas(self) -> int:
-        return len(self.monitor.available_local_replicas())
+        return self.monitor.num_available_local_replicas()
 
     @property
     def queue_size(self) -> int:

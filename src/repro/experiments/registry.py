@@ -33,6 +33,7 @@ meshes (:func:`build_regional_mesh`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
@@ -43,6 +44,7 @@ from typing import (
 )
 
 from ..cluster import Deployment, Frontend
+from ..core.availability import ProbeClock
 from ..core.interface import Balancer
 from ..core.policies import make_constraint as _make_named_constraint
 from ..network import Network, NetworkTopology
@@ -113,6 +115,11 @@ class BuildContext:
     @property
     def topology(self) -> NetworkTopology:
         return self.network.topology
+
+    @cached_property
+    def probe_clock(self) -> ProbeClock:
+        """The probe clock every availability monitor built here shares."""
+        return ProbeClock(self.env)
 
     @property
     def regions(self) -> List[str]:

@@ -133,6 +133,17 @@ class SkyWalkerConfig(SystemSpec):
     balance_abs_threshold: int = 8
     balance_rel_threshold: float = 1.5
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.probe_interval_s > 0:
+            raise ValueError(f"probe_interval_s must be positive, got {self.probe_interval_s!r}")
+        if not 0.0 <= self.prefix_match_threshold <= 1.0:
+            raise ValueError(
+                f"prefix_match_threshold must lie in [0, 1], got {self.prefix_match_threshold!r}"
+            )
+        if not self.trie_max_tokens > 0:
+            raise ValueError(f"trie_max_tokens must be positive, got {self.trie_max_tokens!r}")
+
 
 def build_skywalker_region(
     spec: SkyWalkerConfig,
@@ -163,6 +174,7 @@ def build_skywalker_region(
         allow_remote=allow_remote,
         constraint=ctx.make_constraint(spec.constraint),
         hash_key_fn=ctx.hash_key_fn(),
+        probe_clock=ctx.probe_clock,
         **extra,
     )
 

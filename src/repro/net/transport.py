@@ -267,6 +267,12 @@ class Network:
         same way they detect partitions."""
         return (src, dst) in self._blocked_links or (src, dst) in self._unreachable
 
+    def pair_blocked(self, a: str, b: str) -> bool:
+        """Is ``a -> b`` or ``b -> a`` down?"""
+        if not (self._blocked_links or self._unreachable):
+            return False
+        return self.link_blocked(a, b) or self.link_blocked(b, a)
+
     def set_edge_down(
         self, u: str, v: str, down: bool = True, *, symmetric: bool = True
     ) -> None:
@@ -507,7 +513,7 @@ class Network:
             )
             return
         delay = self.sample_one_way(src, dst) + extra_delay
-        self._after(delay, lambda _event: inbox.put(item))
+        self._after(delay, lambda _event: inbox.post(item))
 
     def call_after_delay(self, src: str, dst: str, callback: Callable[[], None]) -> None:
         """Run ``callback`` after a one-way delay (used for notifications)."""
@@ -628,7 +634,14 @@ class Network:
     def probe_delay(self, src: str, dst: str):
         """Timeout event covering a full probe round trip."""
         self.probe_count += 1
-        return self.env.timeout(self.sample_rtt(src, dst))
+        if self._extra_latency or self._link_extra_jitter or self.jitter_fraction <= 0:
+            return self.env.timeout(self.sample_rtt(src, dst))
+        # sample_rtt's fault-free path inlined: same draws, same float ops.
+        base, fraction, uniform = self._route_base, self.jitter_fraction, self._rng.uniform
+        jitter = base[(src, dst)] * fraction
+        there = max(0.0, base[(src, dst)] + uniform(-jitter, jitter))
+        jitter = base[(dst, src)] * fraction
+        return self.env.timeout(there + max(0.0, base[(dst, src)] + uniform(-jitter, jitter)))
 
 
 def _directions(src: str, dst: str, symmetric: bool) -> List[Pair]:

@@ -115,6 +115,10 @@ class _Inbox(Store):
         self._on_put()
         return event
 
+    def post(self, item) -> None:
+        super().post(item)
+        self._on_put()
+
 
 class ReplicaServer:
     """One model replica in one region.

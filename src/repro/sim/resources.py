@@ -66,6 +66,14 @@ class Store:
         """Request to add ``item``; returns an event."""
         return StorePut(self, item)
 
+    def post(self, item: Any) -> None:
+        """:meth:`put` for a caller that never waits on it: no event unless
+        the store is full, when the item queues behind earlier puts."""
+        if self._put_queue or not self._add(item):
+            StorePut(self, item)
+        elif self._get_queue:
+            self._trigger()
+
     def get(self) -> StoreGet:
         """Request to remove and return the oldest item; returns an event."""
         return StoreGet(self)
@@ -92,10 +100,10 @@ class Store:
         return False
 
     # ------------------------------------------------------------------
-    def _do_put(self, event: StorePut) -> bool:
+    def _add(self, item: Any) -> bool:
+        """Store ``item`` if there is room; report whether it was stored."""
         if len(self.items) < self.capacity:
-            self.items.append(event.item)
-            event.succeed()
+            self.items.append(item)
             return True
         return False
 
@@ -115,7 +123,8 @@ class Store:
                 if head.triggered:
                     self._put_queue.popleft()
                     continue
-                if self._do_put(head):
+                if self._add(head.item):
+                    head.succeed()
                     self._put_queue.popleft()
                     progress = True
                 else:
@@ -146,10 +155,9 @@ class PriorityStore(Store):
     def __len__(self) -> int:
         return len(self._heap)
 
-    def _do_put(self, event: StorePut) -> bool:
+    def _add(self, item: Any) -> bool:
         if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, event.item)
-            event.succeed()
+            heapq.heappush(self._heap, item)
             return True
         return False
 

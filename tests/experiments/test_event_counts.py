@@ -80,44 +80,45 @@ def _diurnal_offload_cell():
     return counts, sum(client.issued_requests for client in clients)
 
 
-#: 14,556 events for 940 issued requests (15.5 per request; per-token
-#: decode stepping with process-based probes and deliveries ran 26,360).
+#: 10,576 events for 940 issued requests (11.3 per request; 14,556 with one
+#: probe process per monitor and an event per inbox put, 26,360 with
+#: per-token decode stepping and process-based probes and deliveries).
 TOT_PREFIX_EVENTS = {
     "AllOf:ClosedLoopClient._run": 210,
-    "Event:AvailabilityMonitor._start_balancer_probe.<locals>.<lambda>": 1800,
     "Event:ConditionEvent._check": 645,
     "Event:Network._after.<locals>.start": 1880,
+    "Event:ProbeClock._cycle": 300,
     "Event:ReplicaServer._run": 855,
     "Event:no-op": 242,
     "StoreGet:ReplicaServer._run": 12,
     "StoreGet:SkyWalkerBalancer._serve": 940,
-    "StorePut:no-op": 1880,
-    "Timeout:AvailabilityMonitor._run": 1797,
-    "Timeout:AvailabilityMonitor._send_balancer_probe.<locals>.<lambda>": 1793,
+    "Timeout:AvailabilityMonitor._probe_peer.<locals>.<lambda>": 1793,
+    "Timeout:AvailabilityMonitor._record_replica_probes": 900,
     "Timeout:ClosedLoopClient._run": 210,
     "Timeout:Network.deliver.<locals>.<lambda>": 1880,
+    "Timeout:ProbeClock._probe_peers": 300,
     "Timeout:ReplicaServer._run": 314,
-    "_Initialize:AvailabilityMonitor._run": 3,
     "_Initialize:ClosedLoopClient._run": 80,
     "_Initialize:ReplicaServer._run": 12,
     "_Initialize:SkyWalkerBalancer._serve": 3,
 }
 
-#: 7,235 events for 162 issued requests (44.7 per request, down from 15,344).
+#: 4,811 events for 162 issued requests (29.7 per request; 7,235 with one
+#: probe process per monitor and an event per inbox put, 15,344 before
+#: decode spans).
 DIURNAL_OFFLOAD_EVENTS = {
-    "Event:AvailabilityMonitor._start_balancer_probe.<locals>.<lambda>": 1800,
     "Event:Network._after.<locals>.start": 324,
+    "Event:ProbeClock._cycle": 300,
     "Event:ReplicaServer._run": 195,
     "Event:no-op": 184,
     "StoreGet:ReplicaServer._run": 5,
     "StoreGet:SkyWalkerBalancer._serve": 162,
-    "StorePut:no-op": 324,
-    "Timeout:AvailabilityMonitor._run": 1797,
-    "Timeout:AvailabilityMonitor._send_balancer_probe.<locals>.<lambda>": 1794,
+    "Timeout:AvailabilityMonitor._probe_peer.<locals>.<lambda>": 1794,
+    "Timeout:AvailabilityMonitor._record_replica_probes": 900,
     "Timeout:Network.deliver.<locals>.<lambda>": 324,
+    "Timeout:ProbeClock._probe_peers": 300,
     "Timeout:ReplicaServer._run": 149,
     "Timeout:TraceReplayClient._run": 162,
-    "_Initialize:AvailabilityMonitor._run": 3,
     "_Initialize:ReplicaServer._run": 6,
     "_Initialize:SkyWalkerBalancer._serve": 3,
     "_Initialize:TraceReplayClient._run": 3,

@@ -162,3 +162,98 @@ def test_store_cancel_is_a_noop_for_foreign_or_triggered_events(env):
     put = store.put("x")
     env.run()
     assert store.cancel(put) is False  # already triggered and dequeued
+
+
+# ----------------------------------------------------------------------
+# post: the event-free put
+# ----------------------------------------------------------------------
+def test_post_hands_items_to_waiting_getters_in_fifo_order(env):
+    store = Store(env)
+    received = []
+
+    def consumer(env, store):
+        for _ in range(3):
+            item = yield store.get()
+            received.append((env.now, item))
+
+    def producer(env, store):
+        yield env.timeout(1)
+        store.post("a")
+        yield env.timeout(1)
+        store.post("b")
+        store.post("c")
+
+    env.process(consumer(env, store))
+    env.process(producer(env, store))
+    env.run()
+    assert received == [(1.0, "a"), (2.0, "b"), (2.0, "c")]
+
+
+def test_post_to_a_full_store_waits_for_room(env):
+    store = Store(env, capacity=1)
+    store.post("first")
+    store.post("second")
+    assert list(store.items) == ["first"]
+    received = []
+
+    def consumer(env, store):
+        yield env.timeout(5)
+        for _ in range(2):
+            item = yield store.get()
+            received.append((env.now, item))
+
+    env.process(consumer(env, store))
+    env.run()
+    assert received == [(5.0, "first"), (5.0, "second")]
+    assert len(store) == 0
+
+
+def test_post_queues_behind_a_blocked_put(env):
+    store = Store(env, capacity=1)
+    store.put("first")
+    store.put("second")  # blocked: the store is full
+    store.post("third")
+    received = []
+
+    def consumer(env, store):
+        for _ in range(3):
+            received.append((yield store.get()))
+
+    env.process(consumer(env, store))
+    env.run()
+    assert received == ["first", "second", "third"]
+
+
+def test_post_into_a_priority_store_orders_by_item(env):
+    store = PriorityStore(env)
+    for item in (3, 1, 2):
+        store.post(item)
+    received = []
+
+    def consumer(env, store):
+        for _ in range(3):
+            received.append((yield store.get()))
+
+    env.process(consumer(env, store))
+    env.run()
+    assert received == [1, 2, 3]
+
+
+def test_post_schedules_no_event(env):
+    from repro.perf.anatomy import count_events
+
+    store = Store(env)
+    with count_events() as counts:
+        store.post("x")
+        env.run()
+    assert list(store.items) == ["x"]
+    assert sum(counts.values()) == 0
+
+
+def test_post_into_a_replica_inbox_fires_its_hook(env, make_tiny_replica):
+    replica = make_tiny_replica("us")
+    cuts = []
+    replica.inbox._on_put = lambda: cuts.append(env.now)
+    replica.inbox.post("request")
+    assert cuts == [0.0]
+    assert list(replica.inbox.items) == ["request"]
