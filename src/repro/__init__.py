@@ -41,7 +41,10 @@ mean / stdev / 95% CI (Student-t, stdlib-only) via
 ``seeds=[s]`` is bit-identical to the legacy single-seed ``seed=s`` path,
 and ``run_macro_benchmark`` / ``run_pushing_benchmark`` /
 ``run_diurnal_sweep`` accept the same ``seeds=[...]`` (rebuilding their
-workloads per seed so each trial sees fresh traffic).  Per-cell host
+workloads per seed so each trial sees fresh traffic).  The Fig. 8 and
+Fig. 9 drivers return a ``SweepResult`` too; their figure ratios are
+functions over one workload row (``speedup_over_baselines(sweep.runs[w])``,
+``throughput_gain(...)``, ``p90_ttft_reduction(...)``).  Per-cell host
 wall-clock is recorded in ``SweepResult.cell_seconds`` (and per seed in
 ``seed_cell_seconds``); it is telemetry only and deliberately **excluded
 from ``RunMetrics.to_dict()``**, which is the payload every bit-identity

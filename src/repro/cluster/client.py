@@ -147,11 +147,8 @@ class ClosedLoopClient:
     programs:
         Programs to run back to back.  Requests within a stage are issued
         concurrently; the next stage starts only after every response of the
-        current stage has been received by the client.  Materialized
-        sequences (lists/tuples) are copied as before; any other iterable
-        (e.g. a :class:`~repro.workloads.streams.ProgramStream` view) is
-        consumed lazily, one program at a time, so a streamed workload never
-        materializes its programs up front.
+        current stage has been received by the client.  The client keeps
+        its own list of them.
     think_time_s:
         Optional pause between consecutive stages (user "thinking").
     """
@@ -173,10 +170,7 @@ class ClosedLoopClient:
         self.region = region
         self.frontend = frontend
         self.tracker = tracker
-        if isinstance(programs, (list, tuple)):
-            self.programs: Iterable[Program] = list(programs)
-        else:
-            self.programs = programs
+        self.programs: List[Program] = list(programs)
         self.think_time_s = think_time_s
         self.start_delay_s = start_delay_s
         self.completed_programs = 0

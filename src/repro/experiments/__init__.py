@@ -31,8 +31,13 @@ from .hitrate import (
 )
 from .hybrid import HybridSelection, SkyWalkerHybridConfig
 from .imbalance import ImbalanceResult, run_imbalance_experiment
-from .macro import MacroResult, default_macro_cluster, run_macro_benchmark
-from .pushing import PushingResult, build_single_region_tot_workload, run_pushing_benchmark
+from .macro import default_macro_cluster, run_macro_benchmark, speedup_over_baselines
+from .pushing import (
+    build_single_region_tot_workload,
+    p90_ttft_reduction,
+    run_pushing_benchmark,
+    throughput_gain,
+)
 from .registry import (
     REGISTRY,
     BuildContext,
@@ -94,12 +99,13 @@ __all__ = [
     "run_experiment",
     "run_sweep",
     "build_system",
-    "MacroResult",
     "run_macro_benchmark",
     "default_macro_cluster",
-    "PushingResult",
+    "speedup_over_baselines",
     "run_pushing_benchmark",
     "build_single_region_tot_workload",
+    "throughput_gain",
+    "p90_ttft_reduction",
     "HitRateComparison",
     "HitRateScenario",
     "HITRATE_SCENARIOS",

@@ -17,19 +17,17 @@ and workloads without duplicating wiring code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..faults import FaultsLike
 from ..mem import MemoryConfig
 from ..net import NetConfig
 from ..replica import LLAMA_8B_L4, ModelProfile
 from ..workloads.program import Program
-from ..workloads.streams import ProgramStream
 from .registry import SystemSpec
 
 __all__ = [
     "ClusterConfig",
-    "ProgramsLike",
     "WorkloadSpec",
     "ExperimentConfig",
     "SYSTEM_KINDS",
@@ -101,36 +99,20 @@ class ClusterConfig:
         return sum(self.replicas_per_region.values())
 
 
-#: A region's programs: a materialized list (the legacy path) or a lazy,
-#: re-instantiable :class:`~repro.workloads.streams.ProgramStream`.
-ProgramsLike = Union[List[Program], ProgramStream]
-
-
 @dataclass
 class WorkloadSpec:
     """Programs and client concurrency per region.
 
-    ``programs_by_region`` values may be materialized program lists (the
-    legacy path, bit-identical to all historical runs) or
-    :class:`~repro.workloads.streams.ProgramStream` specs, which regenerate
-    their programs lazily on every iteration so a million-request day never
-    lives in memory at once.
+    ``programs_by_region`` holds each region's materialized program list;
+    the runner deals program ``i`` to client ``i % clients``.
     """
 
     name: str
-    programs_by_region: Dict[str, ProgramsLike]
+    programs_by_region: Dict[str, List[Program]]
     clients_per_region: Dict[str, int]
     #: Which identity field the workload's natural consistent-hashing key is
     #: ("user" for chat datasets, "session" for Tree-of-Thoughts questions).
     hash_key: str = "user"
-
-    @property
-    def streamed(self) -> bool:
-        """True when any region's programs are a lazy stream."""
-        return any(
-            isinstance(programs, ProgramStream)
-            for programs in self.programs_by_region.values()
-        )
 
     @property
     def total_programs(self) -> int:
@@ -138,11 +120,7 @@ class WorkloadSpec:
 
     @property
     def total_requests(self) -> int:
-        """Total requests across all programs.
-
-        For streamed regions this *iterates* the stream (O(1) memory but
-        full generation CPU) -- fine for reports, not for hot paths.
-        """
+        """Total requests across all programs."""
         return sum(
             program.num_requests
             for programs in self.programs_by_region.values()
@@ -155,18 +133,12 @@ class WorkloadSpec:
         Requests are mutable (timestamps, routing state), so a workload that
         has been through ``run_experiment`` cannot be reused directly; this
         is what lets ``run_sweep`` build a workload once and replay it
-        across every system variant.  Materialized lists are deep-cloned;
-        streams are re-instantiable descriptions (every iteration builds
-        pristine requests), so they are reused as-is.
+        across every system variant.
         """
         return WorkloadSpec(
             name=self.name,
             programs_by_region={
-                region: (
-                    programs.fresh_copy()
-                    if isinstance(programs, ProgramStream)
-                    else [program.clone() for program in programs]
-                )
+                region: [program.clone() for program in programs]
                 for region, programs in self.programs_by_region.items()
             },
             clients_per_region=dict(self.clients_per_region),

@@ -17,11 +17,11 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.cost import CostModel
 from ..faults import FaultsLike
 from ..metrics import AggregateMetrics, LatencySummary, RunMetrics, aggregate_cell
-from ..workloads import ARENA_LIKE, ConversationConfig, ConversationWorkload, ProgramStream
+from ..workloads import ARENA_LIKE, ConversationConfig, ConversationWorkload
 from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
 from .registry import REGISTRY
 from .runner import run_experiment
-from .sweep import SweepExecutor, normalise_seeds
+from .sweep import SweepExecutor, normalise_seeds, ratio_over_run
 
 __all__ = ["DiurnalSweepResult", "build_skewed_workload", "run_diurnal_sweep"]
 
@@ -47,20 +47,18 @@ class DiurnalSweepResult:
     def replica_counts(self) -> List[int]:
         return sorted(set(self.skywalker) | set(self.region_local))
 
-    def aggregate(self, system: str, replicas: int) -> AggregateMetrics:
-        """Mean/stdev/95% CI for one (system, replica count) across seeds.
-
-        ``system`` must be ``"skywalker"`` or ``"region-local"`` (the two
-        arms of the Fig. 10 comparison).
-        """
+    def _arm(self, system: str):
+        """``(base runs, per-seed runs)`` of one arm of the comparison;
+        ``system`` must be ``"skywalker"`` or ``"region-local"``."""
         if system == "skywalker":
-            seed_runs, base = self.skywalker_seed_runs, self.skywalker
-        elif system == "region-local":
-            seed_runs, base = self.region_local_seed_runs, self.region_local
-        else:
-            raise ValueError(
-                f"unknown system {system!r}; expected 'skywalker' or 'region-local'"
-            )
+            return self.skywalker, self.skywalker_seed_runs
+        if system == "region-local":
+            return self.region_local, self.region_local_seed_runs
+        raise ValueError(f"unknown system {system!r}; expected 'skywalker' or 'region-local'")
+
+    def aggregate(self, system: str, replicas: int) -> AggregateMetrics:
+        """Mean/stdev/95% CI for one (system, replica count) across seeds."""
+        base, seed_runs = self._arm(system)
         return aggregate_cell(seed_runs.get(replicas), base[replicas])
 
     def throughput_series(self) -> Dict[str, Dict[int, float]]:
@@ -75,17 +73,21 @@ class DiurnalSweepResult:
 
     def speedup_at(self, replicas: int) -> float:
         """SkyWalker throughput over region-local at equal replica count."""
-        base = self.region_local[replicas].throughput_tokens_per_s
-        if base == 0:
-            return float("inf")
-        return self.skywalker[replicas].throughput_tokens_per_s / base
+        return ratio_over_run(
+            self.skywalker[replicas].throughput_tokens_per_s,
+            self.region_local[replicas].throughput_tokens_per_s,
+            run=f"region-local at {replicas} replicas",
+            quantity="throughput",
+        )
 
     def tail_ttft_improvement_at(self, replicas: int) -> float:
         """Region-local p90 TTFT over SkyWalker p90 TTFT (higher = better)."""
-        sky = self.skywalker[replicas].ttft.p90
-        if sky == 0:
-            return float("inf")
-        return self.region_local[replicas].ttft.p90 / sky
+        return ratio_over_run(
+            self.region_local[replicas].ttft.p90,
+            self.skywalker[replicas].ttft.p90,
+            run=f"skywalker at {replicas} replicas",
+            quantity="p90 TTFT",
+        )
 
     def replicas_matching_region_local(self, region_local_replicas: int) -> Optional[int]:
         """Smallest SkyWalker fleet whose throughput matches (or exceeds) the
@@ -106,7 +108,7 @@ class DiurnalSweepResult:
         deployments to over-provision; SkyWalker meets the same SLO with
         fewer replicas by spilling that region's excess load elsewhere.
         """
-        runs = self.skywalker if system == "skywalker" else self.region_local
+        runs, _ = self._arm(system)
         for count in sorted(runs):
             metrics = runs[count]
             key = f"{region}_ttft_p90"
@@ -133,17 +135,12 @@ class DiurnalSweepResult:
 
 
 def build_skewed_workload(scale: float = 1.0, *, seed: int = 5,
-                          conversations_per_client: int = 3,
-                          stream: bool = False) -> WorkloadSpec:
+                          conversations_per_client: int = 3) -> WorkloadSpec:
     """US-peak-hours workload: 120 US clients, 40 each in Europe and Asia.
 
     Conversations follow the ChatBot-Arena length profile (shorter prompts
     than WildChat) so that the US region's overload is dominated by demand
     rather than by individual giant prompts.
-
-    ``stream=True`` swaps the materialized program lists for lazy
-    :class:`~repro.workloads.streams.ProgramStream` specs (identical
-    programs, O(1) memory) -- the path the million-request macrobench uses.
     """
     clients = {
         "us": max(1, int(round(120 * scale))),
@@ -163,15 +160,7 @@ def build_skewed_workload(scale: float = 1.0, *, seed: int = 5,
             # false across invocations.
             seed=seed + zlib.crc32(region.encode("utf-8")) % 997,
         )
-        if stream:
-            programs_by_region[region] = ProgramStream(
-                factory="conversation",
-                region=region,
-                num_programs=count * conversations_per_client,
-                kwargs=(("config", config),),
-            )
-        else:
-            programs_by_region[region] = ConversationWorkload(config).generate_programs()
+        programs_by_region[region] = ConversationWorkload(config).generate_programs()
     return WorkloadSpec(
         name="regionally-skewed",
         programs_by_region=programs_by_region,

@@ -10,107 +10,40 @@ code drives quick CI runs and full-fidelity reproductions.
 ``seeds=[...]`` repeats the whole grid: each seed gets its own workload
 build (fresh traffic, not just fresh network jitter) and every
 (workload, system, seed) cell fans out through the
-:class:`~repro.experiments.sweep.SweepExecutor` process pool.  The
-per-seed runs aggregate into mean/95%-CI statistics
-(:meth:`MacroResult.aggregate`), which is what turns the figure's
-"1.12-2.06x over the baselines" claims into interval statements.
+:class:`~repro.experiments.sweep.SweepExecutor` process pool.  The result is
+the executor's :class:`~repro.experiments.runner.SweepResult`; its per-seed
+runs aggregate into mean/95%-CI statistics (:meth:`SweepResult.aggregate`),
+which is what turns the figure's "1.12-2.06x over the baselines" claims into
+interval statements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..faults import FaultsLike
-from ..metrics import AggregateMetrics, RunMetrics, SweepReport, aggregate_cell
+from ..metrics import RunMetrics
 from .config import ALL_SYSTEMS, ClusterConfig
 from .registry import REGISTRY
+from .runner import SweepResult
 from .sweep import SweepExecutor, SweepTask, check_unique_system_names, normalise_seeds
 from .workloads import MACRO_WORKLOAD_BUILDERS
 
-__all__ = ["MacroResult", "run_macro_benchmark", "default_macro_cluster"]
+__all__ = ["run_macro_benchmark", "default_macro_cluster", "speedup_over_baselines"]
 
 
-@dataclass
-class MacroResult:
-    """All runs of one macro-benchmark sweep, indexed by (system, workload).
-
-    :attr:`runs` holds the base-seed run of each cell (for a single-seed
-    benchmark that is simply *the* run, bit-identical to the historical
-    output); :attr:`seed_runs` keeps every per-seed run and feeds
-    :meth:`aggregate`.
-    """
-
-    runs: Dict[str, Dict[str, RunMetrics]] = field(default_factory=dict)
-    #: Per-seed runs: ``seed_runs[workload][system][seed]``.
-    seed_runs: Dict[str, Dict[str, Dict[int, RunMetrics]]] = field(default_factory=dict)
-
-    def add(self, metrics: RunMetrics) -> None:
-        if metrics.seed is None:
-            self.runs.setdefault(metrics.workload, {})[metrics.system] = metrics
-            return
-        self.seed_runs.setdefault(metrics.workload, {}).setdefault(metrics.system, {})[
-            metrics.seed
-        ] = metrics
-        self.runs.setdefault(metrics.workload, {}).setdefault(metrics.system, metrics)
-
-    def workloads(self) -> List[str]:
-        return list(self.runs)
-
-    def systems(self, workload: str) -> List[str]:
-        return list(self.runs[workload])
-
-    def get(self, workload: str, system: str, seed: Optional[int] = None) -> RunMetrics:
-        if seed is None:
-            return self.runs[workload][system]
-        return self.seed_runs[workload][system][seed]
-
-    def aggregate(self, workload: str, system: str) -> AggregateMetrics:
-        """Mean/stdev/95% CI of one cell across its seeds (degenerate n=1
-        aggregate for single-seed benchmarks)."""
-        return aggregate_cell(
-            self.seed_runs.get(workload, {}).get(system), self.runs[workload][system]
-        )
-
-    def report(self) -> SweepReport:
-        report = SweepReport()
-        for workload in self.workloads():
-            for system in self.systems(workload):
-                report.add(self.aggregate(workload, system))
-        return report
-
-    def throughput_table(self) -> Dict[str, Dict[str, float]]:
-        return {
-            workload: {system: m.throughput_tokens_per_s for system, m in row.items()}
-            for workload, row in self.runs.items()
-        }
-
-    def speedup_over_baselines(self, workload: str, system: str = "skywalker") -> Dict[str, float]:
-        """Throughput of ``system`` relative to every other system (paper
-        reports 1.12-2.06x over the baselines), on the base-seed runs;
-        use :meth:`aggregate` when an interval statement is needed."""
-        row = self.runs[workload]
-        target = row[system].throughput_tokens_per_s
-        return {
-            other: target / metrics.throughput_tokens_per_s
-            for other, metrics in row.items()
-            if other != system and metrics.throughput_tokens_per_s > 0
-        }
-
-    def format_report(self) -> str:
-        lines: List[str] = []
-        for workload, row in self.runs.items():
-            lines.append(f"== {workload} ==")
-            for system, metrics in row.items():
-                lines.append("  " + metrics.format_row())
-        if self.seed_runs and any(
-            len(per_seed) > 1
-            for row in self.seed_runs.values()
-            for per_seed in row.values()
-        ):
-            lines.append("== aggregate (mean±95% CI) ==")
-            lines.append(self.report().format_table())
-        return "\n".join(lines)
+def speedup_over_baselines(
+    row: Dict[str, RunMetrics], system: str = "skywalker"
+) -> Dict[str, float]:
+    """Throughput of ``system`` relative to every other system of one
+    workload row (``sweep.runs[workload]``; the paper reports 1.12-2.06x over
+    the baselines).  Baselines with zero throughput are left out."""
+    target = row[system].throughput_tokens_per_s
+    return {
+        other: target / metrics.throughput_tokens_per_s
+        for other, metrics in row.items()
+        if other != system and metrics.throughput_tokens_per_s > 0
+    }
 
 
 def default_macro_cluster(scale: float = 1.0, *, record_utilization: bool = False) -> ClusterConfig:
@@ -133,7 +66,7 @@ def run_macro_benchmark(
     seeds: Optional[Sequence[int]] = None,
     workers: int = 1,
     faults: FaultsLike = None,
-) -> MacroResult:
+) -> SweepResult:
     """Run the Fig. 8 sweep and return all metrics.
 
     Per seed, each workload is generated once (with that seed) and replayed
@@ -168,12 +101,4 @@ def run_macro_benchmark(
                         faults=faults,
                     )
                 )
-    sweep = SweepExecutor(workers=workers).run_cells(tasks)
-    result = MacroResult()
-    for workload in sweep.workloads():
-        for system in sweep.systems(workload):
-            # run_sweep_task stamps every run's seed, so runs_for is never
-            # empty and insertion order (base seed first) carries over.
-            for metrics in sweep.runs_for(workload, system).values():
-                result.add(metrics)
-    return result
+    return SweepExecutor(workers=workers).run_cells(tasks)

@@ -121,11 +121,9 @@ def render_bars(
 
 
 def render_csv(result, metrics: Sequence[str] = DEFAULT_CSV_METRICS) -> str:
-    """CSV of every (workload, system[, seed]) cell's chosen metrics.
-
-    Multi-seed sweeps emit one row per seed; single-seed sweeps one row per
-    cell with an empty seed column.  Uses the stdlib :mod:`csv` writer, so
-    the output round-trips through any spreadsheet.
+    """CSV of every (workload, system, seed) run's chosen metrics, one row
+    per seed.  Uses the stdlib :mod:`csv` writer, so the output round-trips
+    through any spreadsheet.
     """
     import csv
 
@@ -133,8 +131,8 @@ def render_csv(result, metrics: Sequence[str] = DEFAULT_CSV_METRICS) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["workload", "system", "seed"] + list(metrics))
 
-    def row_for(workload: str, system: str, seed, run) -> List[object]:
-        cells: List[object] = [workload, system, "" if seed is None else seed]
+    def row_for(workload: str, system: str, seed: int, run) -> List[object]:
+        cells: List[object] = [workload, system, seed]
         for metric in metrics:
             try:
                 cells.append(metric_value(run, metric))
@@ -144,12 +142,8 @@ def render_csv(result, metrics: Sequence[str] = DEFAULT_CSV_METRICS) -> str:
 
     for workload in result.workloads():
         for system in result.systems(workload):
-            per_seed = result.runs_for(workload, system)
-            if per_seed:
-                for seed, run in per_seed.items():
-                    writer.writerow(row_for(workload, system, seed, run))
-            else:
-                writer.writerow(row_for(workload, system, None, result.get(workload, system)))
+            for seed, run in result.runs_for(workload, system).items():
+                writer.writerow(row_for(workload, system, seed, run))
     return buffer.getvalue()
 
 

@@ -8,81 +8,63 @@ policy is swapped between BP, SP-O and SP-P.
 The variants are one sweep (same workload, one system spec per registered
 pushing-policy name), so they run through the
 :class:`~repro.experiments.sweep.SweepExecutor` and parallelise across
-processes like every other sweep.  ``seeds=[...]`` repeats the ablation
-with a freshly generated ToT workload per seed; per-seed runs land in
-:attr:`PushingResult.seed_runs` and :meth:`PushingResult.aggregate` gives
+processes like every other sweep.  The result is the executor's
+:class:`~repro.experiments.runner.SweepResult`, with one workload row
+(``"tot-single-region"``) keyed by policy.  ``seeds=[...]`` repeats the
+ablation with a freshly generated ToT workload per seed; per-seed runs land
+in :attr:`SweepResult.seed_runs` and :meth:`SweepResult.aggregate` gives
 each policy's mean/95%-CI statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..faults import FaultsLike
-from ..metrics import AggregateMetrics, RunMetrics, SweepReport, aggregate_cell
+from ..metrics import RunMetrics
 from ..workloads import TreeOfThoughtsConfig, TreeOfThoughtsWorkload
 from .config import ClusterConfig, WorkloadSpec
-from .sweep import SweepExecutor, SweepTask, check_unique_system_names, normalise_seeds
+from .runner import SweepResult
+from .sweep import (
+    SweepExecutor,
+    SweepTask,
+    check_unique_system_names,
+    normalise_seeds,
+    ratio_over_run,
+)
 from .systems import SkyWalkerConfig
 
-__all__ = ["PushingResult", "run_pushing_benchmark", "build_single_region_tot_workload"]
+__all__ = [
+    "run_pushing_benchmark",
+    "build_single_region_tot_workload",
+    "throughput_gain",
+    "p90_ttft_reduction",
+]
 
 PUSHING_VARIANTS = ("BP", "SP-O", "SP-P")
 
 
-@dataclass
-class PushingResult:
-    """Metrics per pushing policy.
+def throughput_gain(
+    row: Dict[str, RunMetrics], over: str = "BP", policy: str = "SP-P"
+) -> float:
+    """Throughput of ``policy`` over ``over`` in one workload row
+    (``sweep.runs[workload]``)."""
+    return ratio_over_run(
+        row[policy].throughput_tokens_per_s,
+        row[over].throughput_tokens_per_s,
+        run=over,
+        quantity="throughput",
+    )
 
-    :attr:`runs` holds each policy's base-seed run (bit-identical to the
-    historical single-seed output); :attr:`seed_runs` keeps every per-seed
-    run for :meth:`aggregate`.
-    """
 
-    runs: Dict[str, RunMetrics] = field(default_factory=dict)
-    #: Per-seed runs: ``seed_runs[policy][seed]``.
-    seed_runs: Dict[str, Dict[int, RunMetrics]] = field(default_factory=dict)
-
-    def get(self, policy: str, seed: Optional[int] = None) -> RunMetrics:
-        if seed is None:
-            return self.runs[policy]
-        return self.seed_runs[policy][seed]
-
-    def aggregate(self, policy: str) -> AggregateMetrics:
-        """Mean/stdev/95% CI of one policy across its seeds."""
-        return aggregate_cell(self.seed_runs.get(policy), self.runs[policy])
-
-    def report(self) -> SweepReport:
-        report = SweepReport()
-        for policy in self.runs:
-            report.add(self.aggregate(policy))
-        return report
-
-    def throughput_gain(self, over: str = "BP", policy: str = "SP-P") -> float:
-        base = self.runs[over].throughput_tokens_per_s
-        if base == 0:
-            raise ValueError(
-                f"baseline run {over!r} completed no tokens (zero throughput); "
-                "cannot compute a throughput gain over an empty run"
-            )
-        return self.runs[policy].throughput_tokens_per_s / base
-
-    def p90_ttft_reduction(self, over: str = "BP", policy: str = "SP-P") -> float:
-        target = self.runs[policy].ttft.p90
-        if target == 0:
-            raise ValueError(
-                f"run {policy!r} recorded no first tokens (zero p90 TTFT); "
-                "cannot compute a TTFT reduction against an empty run"
-            )
-        return self.runs[over].ttft.p90 / target
-
-    def format_report(self) -> str:
-        lines = [metrics.format_row() for metrics in self.runs.values()]
-        if any(len(per_seed) > 1 for per_seed in self.seed_runs.values()):
-            lines.append("-- aggregate (mean±95% CI) --")
-            lines.append(self.report().format_table())
-        return "\n".join(lines)
+def p90_ttft_reduction(
+    row: Dict[str, RunMetrics], over: str = "BP", policy: str = "SP-P"
+) -> float:
+    """p90 TTFT of ``over`` divided by that of ``policy`` in one workload
+    row (higher means ``policy`` has the shorter tail)."""
+    return ratio_over_run(
+        row[over].ttft.p90, row[policy].ttft.p90, run=policy, quantity="p90 TTFT"
+    )
 
 
 def build_single_region_tot_workload(
@@ -113,7 +95,7 @@ def run_pushing_benchmark(
     seeds: Optional[Sequence[int]] = None,
     workers: int = 1,
     faults: FaultsLike = None,
-) -> PushingResult:
+) -> SweepResult:
     """Run the BP / SP-O / SP-P comparison in one region.
 
     ``policies`` may name any registered pushing policy, not just the
@@ -137,12 +119,10 @@ def run_pushing_benchmark(
     check_unique_system_names(systems)
     seed_list = normalise_seeds(seed, seeds)
     tasks: List[SweepTask] = []
-    workload_name = None
     for cell_seed in seed_list:
         workload = build_single_region_tot_workload(
             region=region, clients=clients, seed=cell_seed
         )
-        workload_name = workload.name
         for system in systems:
             tasks.append(
                 SweepTask(
@@ -154,10 +134,4 @@ def run_pushing_benchmark(
                     faults=faults,
                 )
             )
-    sweep = SweepExecutor(workers=workers).run_cells(tasks)
-    result = PushingResult()
-    for policy in policies:
-        # run_sweep_task stamps every run's seed, so runs_for is never empty.
-        result.runs[policy] = sweep.get(workload_name, policy)
-        result.seed_runs[policy] = sweep.runs_for(workload_name, policy)
-    return result
+    return SweepExecutor(workers=workers).run_cells(tasks)

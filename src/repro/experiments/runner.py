@@ -34,7 +34,6 @@ from ..network import Network, default_topology
 from ..sim import Environment
 from ..workloads.program import Program
 from ..workloads.request import Request
-from ..workloads.streams import ProgramStream
 from .config import ClusterConfig, ExperimentConfig, WorkloadSpec
 from .registry import REGISTRY, BuildContext, SystemSpec
 
@@ -109,18 +108,6 @@ def _split_round_robin(programs: Sequence[Program], parts: int) -> List[List[Pro
     for index, program in enumerate(programs):
         chunks[index % parts].append(program)
     return chunks
-
-
-def _split_programs(programs, parts: int):
-    """Round-robin split for lists, strided lazy views for streams.
-
-    Both assign program ``i`` to client ``i % parts``; the stream path just
-    never materializes the sequence (each client's view regenerates it and
-    skips the other clients' entries).
-    """
-    if isinstance(programs, ProgramStream):
-        return programs.split(parts)
-    return _split_round_robin(programs, parts)
 
 
 def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> ExperimentResult:
@@ -203,7 +190,7 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
         programs = workload.programs_by_region.get(region, [])
         if not programs or num_clients <= 0:
             continue
-        for index, chunk in enumerate(_split_programs(programs, num_clients)):
+        for index, chunk in enumerate(_split_round_robin(programs, num_clients)):
             if not chunk:
                 continue
             clients.append(
@@ -249,14 +236,13 @@ def run_experiment(config: ExperimentConfig, workload: WorkloadSpec) -> Experime
 class SweepResult:
     """Metrics for every (workload, system) pair of a sweep.
 
-    Single-seed sweeps look exactly as they always have: one
-    :class:`RunMetrics` per cell in :attr:`runs`.  Multi-seed sweeps
-    (``seeds=[...]``) additionally keep every per-seed run in
-    :attr:`seed_runs`; :attr:`runs` then holds the *base seed* (the first
-    entry of the seeds list) so every legacy accessor keeps returning a
-    deterministic, bit-identical-to-single-seed view.  The statistical
-    layer on top -- mean, stdev, 95% CI per metric -- comes from
-    :meth:`aggregate` / :meth:`report`.
+    Every sweep driver returns one: :func:`run_sweep`, the Fig. 8 macro
+    benchmark and the Fig. 9 pushing ablation.  :attr:`runs` holds one
+    :class:`RunMetrics` per cell, the run of its *base seed* (the first
+    entry of the seeds list), so a multi-seed sweep's base view is
+    bit-identical to the single-seed sweep.  :attr:`seed_runs` keeps every
+    per-seed run; the statistical layer on top -- mean, stdev, 95% CI per
+    metric -- comes from :meth:`aggregate` / :meth:`report`.
     """
 
     runs: Dict[str, Dict[str, RunMetrics]] = field(default_factory=dict)
@@ -265,25 +251,19 @@ class SweepResult:
     #: where the run's time went.  Not part of any bit-identity comparison
     #: (and therefore excluded from ``RunMetrics.to_dict()``).
     cell_seconds: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Per-seed runs: ``seed_runs[workload][system][seed]``.  Populated by
-    #: the sweep executor (which stamps ``RunMetrics.seed``); direct
-    #: :meth:`add` calls with un-stamped metrics only feed :attr:`runs`.
+    #: Per-seed runs: ``seed_runs[workload][system][seed]``.
     seed_runs: Dict[str, Dict[str, Dict[int, RunMetrics]]] = field(default_factory=dict)
     #: Per-seed wall-clock: ``seed_cell_seconds[workload][system][seed]``.
     seed_cell_seconds: Dict[str, Dict[str, Dict[int, float]]] = field(default_factory=dict)
 
     def add(self, metrics: RunMetrics) -> None:
+        """Record one run.  The first run added for a cell is its base seed
+        (the executor orders each cell's tasks seeds-first)."""
         if metrics.seed is None:
-            # Legacy path (metrics not produced by the sweep executor):
-            # exactly the historical overwrite semantics, no seed tracking.
-            self.runs.setdefault(metrics.workload, {})[metrics.system] = metrics
-            if metrics.wall_clock_s is not None:
-                self.cell_seconds.setdefault(metrics.workload, {})[
-                    metrics.system
-                ] = metrics.wall_clock_s
-            return
-        # Seed-stamped path: the first run added for a cell is its base
-        # seed (the executor orders each cell's tasks seeds-first).
+            raise ValueError(
+                f"run ({metrics.workload!r}, {metrics.system!r}) has no RunMetrics.seed; "
+                "a sweep keys every run by the seed it was simulated with"
+            )
         self.seed_runs.setdefault(metrics.workload, {}).setdefault(metrics.system, {})[
             metrics.seed
         ] = metrics
@@ -333,12 +313,8 @@ class SweepResult:
 
     # -- statistics ----------------------------------------------------
     def aggregate(self, workload: str, system: str) -> AggregateMetrics:
-        """Mean/stdev/95%-CI aggregation of one cell across its seeds.
-
-        Falls back to a degenerate single-run aggregate (n=1, no interval)
-        for cells without per-seed runs, so report code need not special-
-        case single-seed sweeps.
-        """
+        """Mean/stdev/95%-CI aggregation of one cell across its seeds (a
+        degenerate n=1 aggregate with no interval for single-seed sweeps)."""
         return aggregate_cell(
             self.seed_runs.get(workload, {}).get(system), self.runs[workload][system]
         )

@@ -60,6 +60,7 @@ __all__ = [
     "normalise_seeds",
     "check_unique_system_names",
     "plugin_modules",
+    "ratio_over_run",
 ]
 
 #: Historical alias from the era of the (now removed) ``SystemConfig`` shim.
@@ -207,6 +208,22 @@ def normalise_seeds(seed: int, seeds: Optional[Sequence[int]]) -> List[int]:
     if len(set(seed_list)) != len(seed_list):
         raise ValueError(f"seeds contains duplicates: {seed_list}; each seed is one independent trial")
     return seed_list
+
+
+def ratio_over_run(numerator: float, denominator: float, *, run: str, quantity: str) -> float:
+    """``numerator / denominator``, where ``denominator`` is ``quantity`` of
+    the run named ``run``.
+
+    A run that completed nothing has a zero there, and ``inf`` would
+    silently poison every report formatted from it, so the empty run is
+    named in a :class:`ValueError` instead.
+    """
+    if denominator == 0:
+        raise ValueError(
+            f"run {run!r} has zero {quantity} (it completed nothing); "
+            "cannot take a ratio over an empty run"
+        )
+    return numerator / denominator
 
 
 class SweepExecutor:

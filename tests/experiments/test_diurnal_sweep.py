@@ -58,6 +58,20 @@ def test_slo_helpers_are_consistent(sweep):
     assert sweep.slo_cost_reduction(1e6) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("name", ["sky-walker", "region_local", "Skywalker"])
+@pytest.mark.parametrize(
+    "method",
+    [
+        lambda sweep, name: sweep.aggregate(name, 3),
+        lambda sweep, name: sweep.replicas_meeting_slo(name, 1e6),
+    ],
+    ids=["aggregate", "replicas_meeting_slo"],
+)
+def test_mistyped_system_name_is_rejected_not_answered_for_region_local(sweep, method, name):
+    with pytest.raises(ValueError, match=f"unknown system {name!r}"):
+        method(sweep, name)
+
+
 def test_uneven_replica_counts_are_rejected():
     with pytest.raises(ValueError):
         run_diurnal_sweep(replica_counts=(4,), scale=0.05, duration_s=10.0)

@@ -127,7 +127,7 @@ def test_pushing_benchmark_threads_faults_through_cells():
         policies=("BP", "SP-P"), replicas=2, clients=6, duration_s=25.0, faults=schedule
     )
     for policy in ("BP", "SP-P"):
-        assert result.get(policy).resilience is not None, policy
+        assert result.get("tot-single-region", policy).resilience is not None, policy
 
 
 # ----------------------------------------------------------------------

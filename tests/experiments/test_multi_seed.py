@@ -19,6 +19,7 @@ from repro.experiments import (
     run_diurnal_sweep,
     run_macro_benchmark,
     run_pushing_benchmark,
+    throughput_gain,
     run_sweep,
 )
 from repro.replica import TINY_TEST_PROFILE
@@ -160,14 +161,18 @@ def test_pushing_benchmark_multi_seed():
         duration_s=10.0,
         seeds=[7, 8],
     )
+    workload = "tot-single-region"
     for policy in ("BP", "SP-P"):
-        assert result.get(policy).num_completed > 0
-        assert result.get(policy).to_dict() == result.get(policy, seed=7).to_dict()
-        agg = result.aggregate(policy)
+        assert result.get(workload, policy).num_completed > 0
+        assert (
+            result.get(workload, policy).to_dict()
+            == result.get(workload, policy, seed=7).to_dict()
+        )
+        agg = result.aggregate(workload, policy)
         assert agg.num_seeds == 2
         assert agg.ci95("ttft_p50") is not None
     # Base-seed ratio helpers keep working on the multi-seed result.
-    assert result.throughput_gain("BP", "SP-P") > 0
+    assert throughput_gain(result.runs[workload], "BP", "SP-P") > 0
 
 
 def test_diurnal_sweep_multi_seed():

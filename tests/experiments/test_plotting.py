@@ -10,7 +10,7 @@ from repro.experiments.plotting import metric_value, render_bars, render_csv, re
 from repro.metrics import LatencySummary, RunMetrics
 
 
-def fake_run(system, workload, *, throughput, ttft_p90, seed=None):
+def fake_run(system, workload, *, throughput, ttft_p90, seed=0):
     latency = LatencySummary.from_values([ttft_p90])
     return RunMetrics(
         system=system,
@@ -117,3 +117,8 @@ def test_plot_figure_requires_matplotlib_or_returns_figure(result, tmp_path):
         fig = result.plot_figure("throughput_tokens_per_s", path=str(path))
         assert fig is not None
         assert path.exists()
+
+
+def test_sweep_result_rejects_unseeded_runs():
+    with pytest.raises(ValueError, match="RunMetrics.seed"):
+        SweepResult().add(fake_run("skywalker", "arena", throughput=1.0, ttft_p90=0.1, seed=None))

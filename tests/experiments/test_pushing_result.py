@@ -1,13 +1,16 @@
-"""Unit tests for :class:`PushingResult` ratio helpers.
+"""Unit tests for the figure ratio helpers over one sweep workload row.
 
 Regression: a zero baseline (a run that completed nothing) used to yield
 ``float("inf")``, which silently poisoned downstream report formatting.
-Empty runs must instead fail loudly, naming the offending run.
+Empty runs must instead fail loudly, naming the offending run.  The Fig. 9
+helpers (:func:`throughput_gain`, :func:`p90_ttft_reduction`) and the
+Fig. 10 ones (:meth:`DiurnalSweepResult.speedup_at`,
+:meth:`DiurnalSweepResult.tail_ttft_improvement_at`) share that guard.
 """
 
 import pytest
 
-from repro.experiments import PushingResult
+from repro.experiments import DiurnalSweepResult, p90_ttft_reduction, throughput_gain
 from repro.metrics import LatencySummary, RunMetrics
 
 
@@ -29,28 +32,53 @@ def make_metrics(system: str, *, throughput: float, ttft_p90: float) -> RunMetri
         cross_region_fraction=0.0,
         forwarded_fraction=0.0,
         replica_load_imbalance=1.0,
+        seed=7,
     )
 
 
 def test_gains_computed_for_non_empty_runs():
-    result = PushingResult()
-    result.runs["BP"] = make_metrics("BP", throughput=100.0, ttft_p90=2.0)
-    result.runs["SP-P"] = make_metrics("SP-P", throughput=150.0, ttft_p90=0.5)
-    assert result.throughput_gain("BP", "SP-P") == pytest.approx(1.5)
-    assert result.p90_ttft_reduction("BP", "SP-P") == pytest.approx(4.0)
+    row = {
+        "BP": make_metrics("BP", throughput=100.0, ttft_p90=2.0),
+        "SP-P": make_metrics("SP-P", throughput=150.0, ttft_p90=0.5),
+    }
+    assert throughput_gain(row, "BP", "SP-P") == pytest.approx(1.5)
+    assert p90_ttft_reduction(row, "BP", "SP-P") == pytest.approx(4.0)
 
 
 def test_zero_throughput_baseline_raises_naming_the_run():
-    result = PushingResult()
-    result.runs["BP"] = make_metrics("BP", throughput=0.0, ttft_p90=0.0)
-    result.runs["SP-P"] = make_metrics("SP-P", throughput=150.0, ttft_p90=0.5)
+    row = {
+        "BP": make_metrics("BP", throughput=0.0, ttft_p90=0.0),
+        "SP-P": make_metrics("SP-P", throughput=150.0, ttft_p90=0.5),
+    }
     with pytest.raises(ValueError, match="'BP'"):
-        result.throughput_gain("BP", "SP-P")
+        throughput_gain(row, "BP", "SP-P")
 
 
 def test_zero_ttft_target_raises_naming_the_run():
-    result = PushingResult()
-    result.runs["BP"] = make_metrics("BP", throughput=100.0, ttft_p90=2.0)
-    result.runs["SP-P"] = make_metrics("SP-P", throughput=0.0, ttft_p90=0.0)
+    row = {
+        "BP": make_metrics("BP", throughput=100.0, ttft_p90=2.0),
+        "SP-P": make_metrics("SP-P", throughput=0.0, ttft_p90=0.0),
+    }
     with pytest.raises(ValueError, match="'SP-P'"):
-        result.p90_ttft_reduction("BP", "SP-P")
+        p90_ttft_reduction(row, "BP", "SP-P")
+
+
+@pytest.mark.parametrize(
+    "method, empty, run",
+    [
+        (DiurnalSweepResult.speedup_at, "region-local", "'region-local at 9 replicas'"),
+        (DiurnalSweepResult.tail_ttft_improvement_at, "skywalker", "'skywalker at 9 replicas'"),
+    ],
+    ids=["speedup_at", "tail_ttft_improvement_at"],
+)
+def test_fig10_empty_run_raises_naming_the_run(method, empty, run):
+    arms = {
+        name: make_metrics(name, throughput=0.0 if name == empty else 100.0,
+                           ttft_p90=0.0 if name == empty else 1.0)
+        for name in ("skywalker", "region-local")
+    }
+    result = DiurnalSweepResult(
+        skywalker={9: arms["skywalker"]}, region_local={9: arms["region-local"]}
+    )
+    with pytest.raises(ValueError, match=run):
+        method(result, 9)
